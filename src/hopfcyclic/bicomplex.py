@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InfeasibleCut
+from .errors import CompositionNonzero, InfeasibleCut, RankMismatch
 from .faa import FContext, context
 from .linalg import Quotient, SparseMatrix, membership, rank, rank_and_kernel
-from .symbols import LinComb, madd, wedge_normalize
+from .symbols import LinComb, madd, perm_sign, wedge_normalize
 
 X_WEIGHT = 1
 Y_WEIGHT = 0
@@ -74,10 +74,6 @@ class Engine:
         from itertools import combinations
 
         return list(combinations(self.wedge_syms, q))
-
-    def build_spot(self, p: int, q: int, w: int):
-        """Deterministic ordered basis of a bicomplex spot (alias)."""
-        return self.spot_basis(p, q, w)
 
     def spot_basis(self, p: int, q: int, w: int):
         """Ordered basis of the full (unreduced) spot: (fword, wedge) pairs."""
@@ -454,8 +450,16 @@ KNOWN_H1_CLASSES = {
 
 
 @lru_cache(maxsize=None)
-def engine(n: int, w_max: int, kind: str = "absolute", jet_order: int | None = None) -> Engine:
+def _engine(n: int, w_max: int, kind: str, jet_order: int | None) -> Engine:
     return Engine(n, w_max, kind, jet_order)
+
+
+def engine(n: int, w_max: int, kind: str = "absolute", jet_order: int | None = None) -> Engine:
+    """The shared Engine for one set of cuts, whichever defaults the call spells out."""
+    return _engine(n, w_max, kind, jet_order)
+
+
+engine.cache_info, engine.cache_clear = _engine.cache_info, _engine.cache_clear
 
 
 def _tot_coordinate_words(eng: Engine, m: int, w: int):
@@ -474,54 +478,92 @@ def _tot_coordinate_words(eng: Engine, m: int, w: int):
     return out
 
 
-def _representatives(d_now: SparseMatrix, d_prev: SparseMatrix):
-    """Kernel basis vectors independent modulo the image of d_prev."""
-    _, kernel = rank_and_kernel(d_now)
-    image = [d_prev.column(c) for c in range(d_prev.cols)]
-    image = [col for col in image if col]
-    chosen = []
-    for v in kernel:
-        if membership(v, image + chosen) is None:
-            chosen.append(v)
-    return chosen
+def representatives(kernel: list, d_prev: SparseMatrix) -> list:
+    """Kernel vectors that stay independent modulo the image of d_prev.
+
+    ``kernel`` is an RREF kernel basis (``rank_and_kernel``) of a d_now with
+    d_now . d_prev = 0.  The answer is what a greedy scan gives that keeps
+    each vector outside the span of the image and of the vectors kept before
+    it.  Each v has a 1 in its free column max(v) (its other keys are pivot
+    columns to the left) and no entry in another free column, so kernel
+    coordinates are the free-column entries, and v is kept iff no vector in
+    the span of the image has its last nonzero coordinate at v.  With the
+    coordinates listed in reverse, "last" becomes the leading pivot of one
+    ``Quotient``.
+    """
+    last = len(kernel) - 1
+    pos = {max(v): last - i for i, v in enumerate(kernel)}
+    relations: dict = {}
+    for (r, c), x in d_prev.entries.items():
+        if r in pos:
+            relations.setdefault(c, {})[pos[r]] = x
+    quot = Quotient(len(kernel), list(relations.values()))
+    return [kernel[last - j] for j in reversed(quot.basis)]
+
+
+def block_cohomology(d, src_dim, degrees, weights, name: str):
+    """Cohomology ker d(m, w) / im d(m-1, w) of a weight-graded complex, block by block.
+
+    ``d(m, w)`` is the differential C^m_w -> C^{m+1}_w and ``src_dim(m, w)``
+    the dimension of C^m_w, which lets empty blocks be skipped unbuilt.
+    Yields ``(m, w, dim, reps)`` in degree-major order for every nonempty
+    block.  A wrong shape or d^2 != 0 raises, and so does a dimension that
+    differs from the number of representatives.  Each matrix is built and
+    eliminated once: ``rank_and_kernel`` for d(m, w), whose rank a memo
+    keeps for block (m+1, w); ``rank`` only for a d(m-1, w) not in the memo,
+    whose source block is empty or below ``degrees``.  The memo lives for
+    one call.
+    """
+    ranked: dict = {}
+    for m in degrees:
+        for w in weights:
+            prev = ranked.pop((m - 1, w), None)
+            if not src_dim(m, w):
+                continue
+            d_now = d(m, w)
+            r_now, kernel = rank_and_kernel(d_now)
+            if prev is None:
+                d_prev = d(m - 1, w) if m else SparseMatrix(d_now.cols, 0)
+                prev = d_prev, rank(d_prev)
+            d_prev, r_prev = prev
+            if not d_now.matmul(d_prev).is_zero():
+                raise CompositionNonzero(f"{name}^2 != 0 at degree {m}, weight {w}")
+            reps = representatives(kernel, d_prev)
+            dim = (d_now.cols - r_now) - r_prev
+            if dim != len(reps):
+                raise RankMismatch(f"degree {m}, weight {w}: dimension {dim}, "
+                                   f"{len(reps)} representatives")
+            ranked[m, w] = d_now, r_now
+            yield m, w, dim, reps
+
+
+def total_blocks(eng: Engine, degrees, weights):
+    """``block_cohomology`` of the (b,B)-total complex of an engine."""
+    return block_cohomology(lambda m, w: eng.total_matrix(m, w)[0],
+                            lambda m, w: eng.total_layout(m, w)[1], degrees, weights, "D")
 
 
 def total_cohomology(n: int, degree_max: int, w_max: int, kind: str = "absolute",
                      jet_order: int | None = None) -> dict:
     """HC dimensions per (degree, weight) from the (b,B)-total complex."""
     eng = engine(n, w_max, kind, jet_order)
+    known = KNOWN_H1_CLASSES if n == 1 and kind == "absolute" else {}
     blocks = []
-    for m in range(degree_max + 1):
-        for w in range(0, w_max + 1):
-            d_now, src_dim, _ = eng.total_matrix(m, w)
-            if src_dim == 0:
-                continue
-            if m == 0:
-                d_prev = SparseMatrix(src_dim, 0)
-            else:
-                d_prev, _, tdim = eng.total_matrix(m - 1, w)
-                assert tdim == src_dim
-            if not d_now.matmul(d_prev).is_zero():
-                raise AssertionError(f"D^2 != 0 at degree {m}, weight {w}")
-            reps = _representatives(d_now, d_prev)
-            dim = (src_dim - rank(d_now)) - rank(d_prev)
-            assert dim == len(reps)
-            if dim == 0:
-                continue
-            words = _tot_coordinate_words(eng, m, w)
-            certs = []
-            for idx, v in enumerate(reps):
-                label = ""
-                if n == 1 and kind == "absolute":
-                    label = KNOWN_H1_CLASSES.get((m, w), "")
-                if not label:
-                    label = f"HC^{m}[w={w}]#{idx}"
-                elif len(reps) > 1:
-                    label = f"{label}#{idx}"
-                rep = [(str(c), words[i][1]) for i, c in sorted(v.items())]
-                certs.append(ClassCertificate(m, w, label, rep))
-            blocks.append({"degree": m, "weight": w, "dim": dim,
-                           "certificates": [c.to_json() for c in certs]})
+    for m, w, dim, reps in total_blocks(eng, range(degree_max + 1), range(w_max + 1)):
+        if dim == 0:
+            continue
+        words = _tot_coordinate_words(eng, m, w)
+        certs = []
+        for idx, v in enumerate(reps):
+            label = known.get((m, w), "")
+            if not label:
+                label = f"HC^{m}[w={w}]#{idx}"
+            elif len(reps) > 1:
+                label = f"{label}#{idx}"
+            rep = [(str(c), words[i][1]) for i, c in sorted(v.items())]
+            certs.append(ClassCertificate(m, w, label, rep))
+        blocks.append({"degree": m, "weight": w, "dim": dim,
+                       "certificates": [c.to_json() for c in certs]})
     return {
         "schema": 1,
         "n": n,
@@ -537,24 +579,9 @@ def hochschild_dims(n: int, degree_max: int, w_max: int, kind: str = "absolute",
                     jet_order: int | None = None) -> dict:
     """Hochschild (b-only) cohomology dimensions per (degree, weight)."""
     eng = engine(n, w_max, kind, jet_order)
-    blocks = []
-    for m in range(degree_max + 1):
-        for w in range(0, w_max + 1):
-            _, dim_m = eng.block(m, w)
-            if dim_m == 0:
-                continue
-            b_now = eng.matrix("b", m, w)
-            if m == 0:
-                b_prev = SparseMatrix(dim_m, 0)
-            else:
-                b_prev = eng.matrix("b", m - 1, w)
-            if not b_now.matmul(b_prev).is_zero():
-                raise AssertionError(f"b^2 != 0 at degree {m}, weight {w}")
-            reps = _representatives(b_now, b_prev)
-            dim = (dim_m - rank(b_now)) - rank(b_prev)
-            assert dim == len(reps)
-            if dim:
-                blocks.append({"degree": m, "weight": w, "dim": dim})
+    found = block_cohomology(lambda m, w: eng.matrix("b", m, w), lambda m, w: eng.block(m, w)[1],
+                             range(degree_max + 1), range(w_max + 1), "b")
+    blocks = [{"degree": m, "weight": w, "dim": dim} for m, w, dim, _ in found if dim]
     return {"schema": 1, "n": n, "kind": kind, "jet_cut": eng.J, "w_max": w_max,
             "degree_max": degree_max, "blocks": blocks}
 
@@ -574,28 +601,22 @@ def goncarova_check(k_max: int, w_max: int, n: int = 1) -> dict:
                 mat[tidx[k], c] = Fraction(v)
         return mat
 
+    degrees = range(1, k_max + 1)
+    dims: dict = {k: {} for k in degrees}
+    for k, w, dim, _ in block_cohomology(beta_matrix, lambda k, w: len(eng.spot_basis(k, 0, w)),
+                                         degrees, range(1, w_max + 1), "beta"):
+        if dim:
+            dims[k][w] = dim
     blocks = []
     passed = True
-    for k in range(1, k_max + 1):
+    for k in degrees:
         expected = {k + 3 * k * (k - 1) // 2, 2 * k + 3 * k * (k - 1) // 2}
-        dims = {}
-        for w in range(1, w_max + 1):
-            src = eng.spot_basis(k, 0, w)
-            if not src:
-                continue
-            b_now = beta_matrix(k, w)
-            b_prev = beta_matrix(k - 1, w) if k >= 1 else SparseMatrix(len(src), 0)
-            if not b_now.matmul(b_prev).is_zero():
-                raise AssertionError("row complex fails beta^2 = 0")
-            dim = (len(src) - rank(b_now)) - rank(b_prev)
-            if dim:
-                dims[w] = dim
-        ok = all(dims.get(w, 0) == 1 for w in expected if w <= w_max) and all(
-            w in expected for w in dims
+        ok = all(dims[k].get(w, 0) == 1 for w in expected if w <= w_max) and all(
+            w in expected for w in dims[k]
         )
         passed = passed and ok
         blocks.append({"k": k, "expected_weights": sorted(expected),
-                       "dims_by_weight": {str(w): d for w, d in sorted(dims.items())},
+                       "dims_by_weight": {str(w): d for w, d in sorted(dims[k].items())},
                        "passed": ok})
     return {"schema": 1, "n": n, "k_max": k_max, "w_max": w_max,
             "blocks": blocks, "passed": passed}
@@ -660,7 +681,7 @@ def engine_invariants(n: int, degree_max: int, w_max: int, kind: str = "absolute
             acc: dict = {}
             denom = 1
             for perm in permutations(range(q)):
-                sign = _perm_sign(perm)
+                sign = perm_sign(perm)
                 madd(acc, tuple(wedge[i] for i in perm), Fraction(sign))
             total = LinComb.zero()
             for tup, c in acc.items():
@@ -719,12 +740,3 @@ def engine_invariants(n: int, degree_max: int, w_max: int, kind: str = "absolute
         record("homotopy_lemma", fails, count)
     return report
 
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign

@@ -19,10 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
-from .bicomplex import Engine, engine
+from .bicomplex import Engine, engine, total_blocks
 from .errors import InfeasibleCut
 from .linalg import SparseMatrix, rank
-from .symbols import LinComb, madd, wedge_normalize
+from .symbols import LinComb, madd, perm_sign, wedge_normalize
 
 
 def partitions(p: int):
@@ -57,21 +57,12 @@ def cycle_permutation(lam: tuple) -> tuple:
     return tuple(perm)
 
 
-def perm_sign(perm: tuple) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def _antisym_fword(etas: tuple) -> LinComb:
     """Signed sum over orderings of the eta factors (full antisymmetrization,
     no 1/p! normalization), keys are F-tensor words."""
     acc: dict = {}
     for perm in permutations(range(len(etas))):
-        madd(acc, tuple((etas[i],) for i in perm), perm_sign(tuple(perm)))
+        madd(acc, tuple((etas[i],) for i in perm), perm_sign(perm))
     return LinComb.from_dict(acc)
 
 
@@ -311,19 +302,9 @@ def verify_relative_classes(n: int, jet_order: int | None = None) -> dict:
         if rank(SparseMatrix.from_columns(eng.quotient(p, q, n).quotient_dim, vecs)) != len(vecs):
             independent = False
     # wrong parity: total-complex cohomology vanishes off the parity of n
-    parity_dims = {}
-    for m in range(0, n + 1):
-        d_now, src_dim, _ = eng.total_matrix(m, n)
-        if src_dim == 0:
-            parity_dims[m] = 0
-            continue
-        if m == 0:
-            d_prev = SparseMatrix(src_dim, 0)
-        else:
-            d_prev, _, _ = eng.total_matrix(m - 1, n)
-        if not d_now.matmul(d_prev).is_zero():
-            raise AssertionError("D^2 != 0 on relative total complex")
-        parity_dims[m] = (src_dim - rank(d_now)) - rank(d_prev)
+    parity_dims = {m: 0 for m in range(0, n + 1)}
+    for m, _, dim, _ in total_blocks(eng, range(0, n + 1), (n,)):
+        parity_dims[m] = dim
     wrong_parity_zero = all(
         parity_dims[m] == 0 for m in range(0, n + 1) if m % 2 != n % 2
     )

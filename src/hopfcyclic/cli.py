@@ -4,8 +4,13 @@ Every command writes one JSON report (schema 1, rationals as strings) into
 the output directory and prints a text summary that always includes the
 truncation parameters, so every number is scoped.  Exit status: 0 all checks
 passed, 1 a check failed (first counterexample in the report), 2 invalid
-configuration.  Reports are byte-identical across runs and across
---parallel settings.
+configuration.  Reports are byte-identical across runs.
+
+Cohomology blocks run in order, one (degree, weight) block at a time, in
+the same library drivers that ``bicomplex`` exposes.  ``--parallel`` is
+still parsed and ignored, because ``perfbench/run.py`` checks that reports
+are byte-identical at ``--parallel 1`` and ``2`` and needs both runs to
+succeed.
 """
 
 from __future__ import annotations
@@ -43,21 +48,6 @@ def _write_report(outdir: Path, name: str, payload: dict) -> Path:
 
 def _scope_line(**params) -> str:
     return "  [" + ", ".join(f"{k}={v}" for k, v in params.items()) + "]"
-
-
-def _pmap(fn, items, parallelism: int):
-    """Deterministic parallel map: results merged in input order.
-
-    Threads only; block computations share immutable caches, and equal
-    values may be recomputed but never diverge.
-    """
-    items = list(items)
-    if parallelism <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=parallelism) as ex:
-        return list(ex.map(fn, items))
 
 
 def cmd_verify_hopf(args, outdir: Path) -> int:
@@ -122,89 +112,32 @@ def cmd_verify_cocyclic(args, outdir: Path) -> int:
     return 0 if ok else 1
 
 
-def _dims_with_parallel(fn, n, degree_max, w_max, parallelism):
-    """Run a per-(degree, weight) engine computation blockwise in parallel."""
-    def one(mw):
-        m, w = mw
-        return fn(n, m, w)
-
-    pairs = [(m, w) for m in range(degree_max + 1) for w in range(w_max + 1)]
-    results = _pmap(one, pairs, parallelism)
-    blocks = [b for b in results if b is not None]
-    return blocks
-
-
 def cmd_cyclic(args, outdir: Path) -> int:
-    eng = bicomplex.engine(args.n, args.weight_max)
-
-    def one_block(n, m, w):
-        from .linalg import SparseMatrix, rank
-
-        d_now, src_dim, _ = eng.total_matrix(m, w)
-        if src_dim == 0:
-            return None
-        d_prev = eng.total_matrix(m - 1, w)[0] if m else SparseMatrix(src_dim, 0)
-        if not d_now.matmul(d_prev).is_zero():
-            raise AssertionError("D^2 != 0")
-        reps = bicomplex._representatives(d_now, d_prev)
-        if not reps:
-            return None
-        words = bicomplex._tot_coordinate_words(eng, m, w)
-        certs = []
-        for idx, v in enumerate(reps):
-            label = bicomplex.KNOWN_H1_CLASSES.get((m, w), "") if args.n == 1 else ""
-            if not label:
-                label = f"HC^{m}[w={w}]#{idx}"
-            elif len(reps) > 1:
-                label = f"{label}#{idx}"
-            rep = [(str(c), words[i][1]) for i, c in sorted(v.items())]
-            certs.append(bicomplex.ClassCertificate(m, w, label, rep).to_json())
-        return {"degree": m, "weight": w, "dim": len(reps), "certificates": certs}
-
-    blocks = _dims_with_parallel(one_block, args.n, args.degree_max, args.weight_max, args.parallel)
-    payload = {"n": args.n, "kind": "absolute", "jet_cut": eng.J,
-               "w_max": args.weight_max, "degree_max": args.degree_max, "blocks": blocks}
-    _write_report(outdir, f"cyclic-n{args.n}", payload)
+    report = bicomplex.total_cohomology(args.n, args.degree_max, args.weight_max)
+    _write_report(outdir, f"cyclic-n{args.n}", report)
     dims = {}
-    for b in blocks:
+    for b in report["blocks"]:
         dims[b["degree"]] = dims.get(b["degree"], 0) + b["dim"]
     print("cyclic cohomology (HC) dimensions by degree:", dims)
-    print(_scope_line(n=args.n, degree_max=args.degree_max, w_max=args.weight_max, jet_cut=eng.J))
-    for b in blocks:
+    print(_scope_line(n=args.n, degree_max=args.degree_max, w_max=args.weight_max,
+                      jet_cut=report["jet_cut"]))
+    for b in report["blocks"]:
         labels = [c["label"] for c in b["certificates"]]
         print(f"  HC^{b['degree']} weight {b['weight']}: dim {b['dim']}  {labels}")
     return 0
 
 
 def cmd_hochschild(args, outdir: Path) -> int:
-    eng = bicomplex.engine(args.n, args.weight_max)
-
-    def one_block(n, m, w):
-        from .linalg import SparseMatrix, rank
-
-        _, dim_m = eng.block(m, w)
-        if dim_m == 0:
-            return None
-        b_now = eng.matrix("b", m, w)
-        b_prev = eng.matrix("b", m - 1, w) if m else SparseMatrix(dim_m, 0)
-        if not b_now.matmul(b_prev).is_zero():
-            raise AssertionError("b^2 != 0")
-        dim = (dim_m - rank(b_now)) - rank(b_prev)
-        if not dim:
-            return None
-        return {"degree": m, "weight": w, "dim": dim}
-
-    blocks = _dims_with_parallel(one_block, args.n, args.degree_max, args.weight_max, args.parallel)
-    payload = {"n": args.n, "kind": "absolute", "jet_cut": eng.J,
-               "w_max": args.weight_max, "degree_max": args.degree_max, "blocks": blocks}
-    _write_report(outdir, f"hochschild-n{args.n}", payload)
+    report = bicomplex.hochschild_dims(args.n, args.degree_max, args.weight_max)
+    _write_report(outdir, f"hochschild-n{args.n}", report)
     dims = {}
     weights = {}
-    for b in blocks:
+    for b in report["blocks"]:
         dims[b["degree"]] = dims.get(b["degree"], 0) + b["dim"]
         weights.setdefault(b["degree"], []).extend([b["weight"]] * b["dim"])
     print("Hochschild cohomology dimensions by degree:", dims)
-    print(_scope_line(n=args.n, degree_max=args.degree_max, w_max=args.weight_max, jet_cut=eng.J))
+    print(_scope_line(n=args.n, degree_max=args.degree_max, w_max=args.weight_max,
+                      jet_cut=report["jet_cut"]))
     for d in sorted(weights):
         print(f"  H^{d}: dim {dims[d]}, class weights {sorted(weights[d])}")
     return 0
@@ -300,8 +233,8 @@ def cmd_all(args, outdir: Path) -> int:
         status |= cmd_verify_matched_pair(
             ns(n=n, jet_cut=j, weight=None, bicrossed_weight=bw, pbw=d), outdir)
     status |= cmd_verify_cocyclic(ns(degree_max=3, weight=4, pbw=2), outdir)
-    status |= cmd_hochschild(ns(n=1, degree_max=2, weight_max=7, parallel=args.parallel), outdir)
-    status |= cmd_cyclic(ns(n=1, degree_max=2, weight_max=7, parallel=args.parallel), outdir)
+    status |= cmd_hochschild(ns(n=1, degree_max=2, weight_max=7), outdir)
+    status |= cmd_cyclic(ns(n=1, degree_max=2, weight_max=7), outdir)
     status |= cmd_goncarova(ns(k_max=2, weight_max=8), outdir)
     status |= cmd_chern(ns(n=2, p_max=2, q_max=2, sign_p_max=3), outdir)
     print(f"all: {'PASS' if status == 0 else 'FAIL'}")
@@ -326,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--output", type=Path, default=Path("reports"),
                     help="directory for JSON reports (default: ./reports)")
     ap.add_argument("--parallel", type=_positive("parallel", 1), default=1,
-                    help="block-level parallelism degree (threads)")
+                    help="ignored; blocks run in order (kept so existing command lines work)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-hopf", help="Hopf axiom property suite")

@@ -13,6 +13,10 @@ class CompositionNonzero(HopfCyclicError):
     """d_out . d_in != 0 where a complex was expected."""
 
 
+class RankMismatch(HopfCyclicError):
+    """Two exact counts of one rank or dimension disagree."""
+
+
 class DimensionMismatch(HopfCyclicError):
     """Jets over different ambient dimensions or truncation orders."""
 

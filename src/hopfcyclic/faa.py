@@ -398,9 +398,6 @@ class FContext:
             out = out + img.map_keys(lambda dt, r=rest: tuple(sorted(r + dt)))
         return out
 
-    def act_eta_lc(self, gen, lc: LinComb) -> LinComb:
-        return lc.map_keys(lambda m: self.act_eta(gen, m))
-
     # ---------------------------------------------------------------- U(g)
 
     def u_one(self):
@@ -443,9 +440,6 @@ class FContext:
                 out = nxt
             self._ucop_cache[umono] = out
         return self._ucop_cache[umono]
-
-    def u_counit(self, umono) -> Fraction:
-        return Fraction(1) if umono == self.u_one() else Fraction(0)
 
     def u_antipode(self, umono) -> LinComb:
         factors = self.H.mono_factors(umono)

@@ -10,34 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import CompositionNonzero, ShapeMismatch
+from .errors import CompositionNonzero, RankMismatch, ShapeMismatch
 
 Rational = Fraction
 
 #: sparse vector: {index: nonzero Fraction}
 SparseVec = dict
-
-
-def vec_is_zero(v: SparseVec) -> bool:
-    return not v
-
-
-def vec_add(a: SparseVec, b: SparseVec, scale: Rational = Fraction(1)) -> SparseVec:
-    """a + scale*b, dropping zeros."""
-    out = dict(a)
-    for k, x in b.items():
-        s = out.get(k, Fraction(0)) + scale * x
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def vec_scale(a: SparseVec, c: Rational) -> SparseVec:
-    if not c:
-        return {}
-    return {k: c * x for k, x in a.items()}
 
 
 class SparseMatrix:
@@ -95,12 +73,6 @@ class SparseMatrix:
                 if v:
                     m[r, c] = Fraction(v)
         return m
-
-    def to_dense(self):
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
 
     def column(self, c: int) -> SparseVec:
         return {r: v for (r, cc), v in self.entries.items() if cc == c}
@@ -266,7 +238,8 @@ def cohomology_dim(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
         raise CompositionNonzero("d_out . d_in != 0")
     r_out, kernel = rank_and_kernel(d_out)
     dim_ker = d_out.cols - r_out
-    assert dim_ker == len(kernel)
+    if dim_ker != len(kernel):
+        raise RankMismatch(f"rank-nullity: {dim_ker} free columns, {len(kernel)} kernel vectors")
     return dim_ker - rank(d_in)
 
 

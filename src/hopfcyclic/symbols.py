@@ -133,6 +133,16 @@ def wedge_normalize(symbols, coeff=1) -> LinComb:
     return LinComb({tuple(symbols): coeff * sign})
 
 
+def perm_sign(perm) -> int:
+    """Sign of a permutation given as a sequence, by counting inversions."""
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
 def tensor(a: LinComb, b: LinComb) -> LinComb:
     """Bilinear tensor product; keys concatenate as tuples."""
     out = {}

@@ -1,15 +1,21 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcyclic.bicomplex import (
+    block_cohomology,
     engine,
     engine_invariants,
     goncarova_check,
     hochschild_dims,
+    representatives,
     total_cohomology,
 )
-from hopfcyclic.errors import InfeasibleCut
+from hopfcyclic.errors import CompositionNonzero, InfeasibleCut
+from hopfcyclic.linalg import SparseMatrix, membership, rank, rank_and_kernel
 
 ETA1 = (1, (1, 1), ())
 ETA2 = (1, (1, 1), (1,))
@@ -110,3 +116,59 @@ def test_relative_block_weight_concentration():
     assert eng.quotient(1, 1, 2).quotient_dim == 1
     assert eng.quotient(2, 0, 2).quotient_dim == 2
     assert eng.quotient(0, 2, 2).quotient_dim == 1
+
+
+def greedy_representatives(d_now, d_prev):
+    """Reference oracle: keep each RREF kernel vector of d_now that lies
+    outside the span of the image of d_prev and the vectors kept so far."""
+    _, kernel = rank_and_kernel(d_now)
+    image = [col for col in (d_prev.column(c) for c in range(d_prev.cols)) if col]
+    chosen = []
+    for v in kernel:
+        if membership(v, image + chosen) is None:
+            chosen.append(v)
+    return chosen
+
+
+def random_complex(data, a: int, b: int, c: int):
+    """Integer d_prev: Q^a -> Q^b and d_now: Q^b -> Q^c with d_now . d_prev = 0.
+
+    Rows of d_now are random combinations of a left-kernel basis of d_prev,
+    cleared of denominators."""
+    small = st.integers(min_value=-2, max_value=2)
+    d_prev = SparseMatrix(b, a, {(r, j): data.draw(small) for r in range(b) for j in range(a)})
+    _, left = rank_and_kernel(d_prev.transpose())
+    entries = {}
+    for r in range(c):
+        coeffs = [data.draw(small) for _ in left]
+        row = [sum(k * v.get(j, 0) for k, v in zip(coeffs, left)) for j in range(b)]
+        scale = math.lcm(*(Fraction(x).denominator for x in row))
+        entries.update({(r, j): x * scale for j, x in enumerate(row)})
+    return d_prev, SparseMatrix(c, b, entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=5),
+    st.data(),
+)
+def test_representatives_match_greedy_membership(a, b, c, data):
+    d_prev, d_now = random_complex(data, a, b, c)
+    assert d_now.matmul(d_prev).is_zero()
+    expected = greedy_representatives(d_now, d_prev)
+    _, kernel = rank_and_kernel(d_now)
+    assert representatives(kernel, d_prev) == expected
+    # the block routine gives the same vectors and the rank-count dimension
+    mats = {0: d_prev, 1: d_now}
+    ((m, w, dim, reps),) = block_cohomology(lambda m, w: mats[m], lambda m, w: mats[m].cols,
+                                            [1], [0], "d")
+    assert (m, w, reps) == (1, 0, expected)
+    assert dim == b - rank(d_now) - rank(d_prev) == len(expected)
+
+
+def test_block_cohomology_rejects_a_non_complex():
+    ones = SparseMatrix(1, 1, {(0, 0): 1})
+    with pytest.raises(CompositionNonzero):
+        list(block_cohomology(lambda m, w: ones, lambda m, w: 1, [1], [0], "d"))

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hopfcyclic.bicomplex import Engine, hochschild_dims, total_cohomology
 from hopfcyclic.cli import main, parse_word
+from hopfcyclic.linalg import SparseMatrix
 
 
 def test_parse_word_grammar():
@@ -53,6 +55,28 @@ def test_cyclic_small_and_determinism(tmp_path, capsys):
     data = json.loads(a)
     dims = {(blk["degree"], blk["weight"]): blk["dim"] for blk in data["blocks"]}
     assert dims == {(0, 0): 1, (1, 1): 1, (1, 2): 1}
+    # the CLI reports are the library drivers' answers at the same cut
+    assert data == json.loads(json.dumps(total_cohomology(1, 1, 2)))
+    rc = main(["--output", str(tmp_path / "a"), "hochschild", "--n", "1",
+               "--degree-max", "1", "--weight-max", "2"])
+    assert rc == 0
+    hh = json.loads((tmp_path / "a" / "hochschild-n1.json").read_text())
+    assert hh == json.loads(json.dumps(hochschild_dims(1, 1, 2)))
+
+
+def test_non_complex_exits_1(tmp_path, monkeypatch, capsys):
+    original = Engine.matrix
+
+    def all_ones(self, op, m, w):
+        mat = original(self, op, m, w)
+        return SparseMatrix(mat.rows, mat.cols,
+                            {(r, c): 1 for r in range(mat.rows) for c in range(mat.cols)})
+
+    monkeypatch.setattr(Engine, "matrix", all_ones)
+    rc = main(["--output", str(tmp_path), "hochschild", "--n", "1",
+               "--degree-max", "2", "--weight-max", "2"])
+    assert rc == 1
+    assert "b^2 != 0" in capsys.readouterr().err
 
 
 def test_goncarova_small(tmp_path):

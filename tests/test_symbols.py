@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from hopfcyclic.bicomplex import engine, gen_weight
 from hopfcyclic.hopf import algebra, delta_weight
-from hopfcyclic.symbols import LinComb, tensor, tensor_many, wedge_normalize
+from hopfcyclic import chern
+from hopfcyclic.symbols import LinComb, perm_sign, tensor, tensor_many, wedge_normalize
 
 
 def test_wedge_repeated_symbol_dies():
@@ -30,6 +31,13 @@ def test_wedge_idempotent_on_normal_words(symbols):
         again = wedge_normalize(word)
         assert again == LinComb({word: 1})
         assert c in (1, -1)
+
+
+def test_perm_sign():
+    assert perm_sign(()) == perm_sign((1, 2, 3)) == 1
+    assert perm_sign((2, 1, 3)) == perm_sign((1, 3, 2)) == -1
+    assert perm_sign((2, 3, 1)) == 1
+    assert chern.perm_sign is perm_sign
 
 
 def test_tensor_bilinear():
