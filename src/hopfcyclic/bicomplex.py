@@ -459,6 +459,7 @@ def engine(n: int, w_max: int, kind: str = "absolute", jet_order: int | None = N
     return _engine(n, w_max, kind, jet_order)
 
 
+# the cache stays inspectable and resettable under the public name
 engine.cache_info, engine.cache_clear = _engine.cache_info, _engine.cache_clear
 
 

@@ -23,6 +23,7 @@ ETA2 = (1, (1, 1), (1,))
 
 def test_spot_bases_n1():
     eng = engine(1, 4)
+    assert eng is engine(1, 4, "absolute", None)  # one Engine per set of cuts
     assert [w for w in eng.spot_basis(0, 0, 0)] == [((), ())]
     names = {eng.render_word(w) for w in eng.spot_basis(1, 0, 2)}
     assert names == {"1 ⊗ e[1;1,1|]^2 ⊗ 1", "1 ⊗ e[1;1,1|1] ⊗ 1"}
