@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CompositionNonzero, InfeasibleCut, RankMismatch
+from .errors import CompositionNonzero, InfeasibleCut, InvariantViolation, RankMismatch
 from .faa import FContext, context
 from .linalg import Quotient, SparseMatrix, membership, rank, rank_and_kernel
 from .symbols import LinComb, madd, perm_sign, wedge_normalize
@@ -356,7 +356,7 @@ class Engine:
                     for k, c in img.items():
                         row = tindex.get((tp, tq, k))
                         if row is None:
-                            raise AssertionError(f"image left the block: {k}")
+                            raise InvariantViolation(f"image left the block: {k}")
                         mat[row, col] = Fraction(c)
         return mat
 

@@ -3,8 +3,9 @@
 Every command writes one JSON report (schema 1, rationals as strings) into
 the output directory and prints a text summary that always includes the
 truncation parameters, so every number is scoped.  Exit status: 0 all checks
-passed, 1 a check failed (first counterexample in the report), 2 invalid
-configuration.  Reports are byte-identical across runs.
+passed, 1 a check failed (first counterexample in the report) or the
+computation raised, 2 invalid configuration; a failure prints one line on
+stderr, never a traceback.  Reports are byte-identical across runs.
 
 Cohomology blocks run in order, one (degree, weight) block at a time, in
 the same library drivers that ``bicomplex`` exposes.  ``--parallel`` is
@@ -337,6 +338,9 @@ def main(argv=None) -> int:
         return 2
     except HopfCyclicError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # any other failure: a one-line report, exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -17,6 +17,11 @@ class RankMismatch(HopfCyclicError):
     """Two exact counts of one rank or dimension disagree."""
 
 
+class InvariantViolation(HopfCyclicError):
+    """A construction left the space it is defined on, or a basis it relies
+    on has the wrong size or span."""
+
+
 class DimensionMismatch(HopfCyclicError):
     """Jets over different ambient dimensions or truncation orders."""
 

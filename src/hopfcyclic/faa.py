@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import TruncationOverflow
+from .errors import InvariantViolation, TruncationOverflow
 from .hopf import HopfAlgebra, algebra, delta_weight
 from .jets import (
     Jet,
@@ -35,7 +35,8 @@ from .jets import (
     monomials_upto,
     symbolic_njet,
 )
-from .linalg import SparseMatrix, membership
+from .linalg import SparseMatrix, rank_and_kernel
+from .linalg import membership  # noqa: F401  (a binding perfbench/tests checks is traced)
 from .poly import ONE_MONO, Poly
 from .symbols import LinComb
 
@@ -224,14 +225,20 @@ class FContext:
         rec([], 0, w)
         return sorted(out)
 
-    def _conversion(self, w: int):
-        """Per-weight tables between alpha monomials and eta monomials."""
+    def _conversion(self, w: int) -> dict:
+        """Every alpha monomial of weight w -> its expansion in eta monomials.
+
+        The columns of M are the eta monomials written in alpha monomials.
+        When M is invertible, the free columns of [M | -I] are N, ..., 2N - 1
+        and the kernel vector of free column N + i is (M^-1 e_i, e_i), which
+        holds the eta coefficients of alpha monomial i.
+        """
         if w in self._convert_cache:
             return self._convert_cache[w]
         amonos = self.alpha_monos_of_weight(w)
         emonos = self.eta_monos_of_weight(w)
         if len(amonos) != len(emonos):
-            raise AssertionError(f"basis size mismatch at weight {w}")
+            raise InvariantViolation(f"basis size mismatch at weight {w}")
         aidx = {m: i for i, m in enumerate(amonos)}
         cols = []
         for em in emonos:
@@ -240,25 +247,23 @@ class FContext:
             for mono, c in p.terms.items():
                 col[aidx[mono]] = c
             cols.append(col)
-        mat = SparseMatrix.from_columns(len(amonos), cols)
-        entry = {"amonos": amonos, "emonos": emonos, "aidx": aidx, "cols": cols, "mat": mat, "a2e": {}}
-        self._convert_cache[w] = entry
-        return entry
+        size = len(amonos)
+        _, kernel = rank_and_kernel(
+            SparseMatrix.from_columns(size, cols + [{i: -1} for i in range(size)]))
+        if kernel and max(kernel[0]) < size:  # a free column of M: rank M < N
+            raise InvariantViolation(f"alpha monomials of weight {w} outside the eta-monomial span")
+        table = {
+            amono: LinComb({emonos[j]: c for j, c in v.items() if j < size})
+            for amono, v in zip(amonos, kernel)
+        }
+        self._convert_cache[w] = table
+        return table
 
     def alpha_mono_to_eta(self, mono: tuple) -> LinComb:
         w = mono_weight_alpha(mono)
         if w == 0:
             return LinComb.unit(())
-        entry = self._conversion(w)
-        if mono not in entry["a2e"]:
-            target = {entry["aidx"][mono]: Fraction(1)}
-            coeffs = membership(target, entry["cols"])
-            if coeffs is None:
-                raise AssertionError("alpha monomial outside eta-monomial span")
-            entry["a2e"][mono] = LinComb(
-                {entry["emonos"][i]: c for i, c in enumerate(coeffs) if c}
-            )
-        return entry["a2e"][mono]
+        return self._conversion(w)[mono]
 
     def alpha_to_eta(self, poly: Poly) -> LinComb:
         out = LinComb.zero()
@@ -412,7 +417,8 @@ class FContext:
 
     def u_mul(self, m1, m2) -> LinComb:
         out = self.H.mono_mul(m1, m2)
-        assert all(not m[0] for m in out.terms), "U(g) product left the delta-free subalgebra"
+        if any(m[0] for m in out.terms):
+            raise InvariantViolation("U(g) product left the delta-free subalgebra")
         return out
 
     def u_mul_lc(self, a: LinComb, b: LinComb) -> LinComb:
@@ -594,7 +600,8 @@ def two_route_coproduct_check(n: int, jet_order: int, weight_cut: int) -> dict:
         hcop = F.H.coproduct_gen(("D",) + key)
         rhs = LinComb.zero()
         for (m1, m2), c in hcop.terms.items():
-            assert not any(m1[1]) and not any(m1[2]), "coproduct of delta left H_ab"
+            if any(m1[1]) or any(m1[2]):
+                raise InvariantViolation("coproduct of delta left H_ab")
             p1 = F.eta_mono_poly(m1[0])
             p2 = F.eta_mono_poly(m2[0])
             for mo2, c2 in p2.terms.items():

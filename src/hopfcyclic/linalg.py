@@ -3,14 +3,30 @@
 Everything here is over Q (stdlib ``fractions.Fraction``); no floats anywhere.
 Elimination uses deterministic leftmost-lowest pivoting so kernel bases and
 every report derived from them are reproducible bit-for-bit.
+
+Every rank, kernel, membership and quotient comes from one routine,
+``_rref``, which returns the reduced row echelon form (RREF) with
+``Fraction`` entries.  It scales each row to integers, eliminates modulo
+2^61 - 1, and lifts each RREF entry to a rational by reconstruction.  The
+lifted rows L are certified in integers: every input row a must equal
+sum over pivot columns c of a[c] * L_c.  That puts the row space inside
+span(L); L has unit pivots and rank_p <= rank_Q rows, so the spans are
+equal and L is the rational RREF.  The RREF is unique, so the output is
+the one a ``Fraction`` elimination gives, entry for entry.  While
+reconstruction or the check fails, the next prime of ``_PRIMES`` is added
+by CRT.  If no prime certifies (an entry beyond the reconstruction bound
+of all the primes, or a rank that drops modulo each of them),
+``_rref_fraction`` computes the RREF.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
 from .errors import CompositionNonzero, RankMismatch, ShapeMismatch
+from .symbols import madd
 
 Rational = Fraction
 
@@ -105,33 +121,203 @@ class SparseMatrix:
         return out
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
+        """Row-by-row (Gustavson) product: row r of the result accumulates
+        self[r, k] * (row k of other) over the nonzeros of row r of self."""
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        other_rows: dict = {}
+        for (k, c), w in other.entries.items():
+            other_rows.setdefault(k, []).append((c, w))
+        acc_rows: dict = {}
+        for (r, k), v in self.entries.items():
+            orow = other_rows.get(k)
+            if orow:
+                acc = acc_rows.setdefault(r, {})
+                for c, w in orow:
+                    madd(acc, c, v * w)
         out = SparseMatrix(self.rows, other.cols)
-        by_row = {}
-        for (r, c), v in self.entries.items():
-            by_row.setdefault(r, {})[c] = v
-        by_col = {}
-        for (r, c), v in other.entries.items():
-            by_col.setdefault(c, {})[r] = v
-        for r, rowd in by_row.items():
-            for c, cold in by_col.items():
-                s = Fraction(0)
-                short, long_ = (rowd, cold) if len(rowd) < len(cold) else (cold, rowd)
-                for k, v in short.items():
-                    w = long_.get(k)
-                    if w:
-                        s += v * w
-                if s:
-                    out[r, c] = s
+        for r, acc in acc_rows.items():
+            for c, s in acc.items():
+                out.entries[(r, c)] = s
         return out
 
     def is_zero(self) -> bool:
         return not self.entries
 
 
+#: word-size primes for the modular path, 2^61 - 1 first
+_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
+
+
 def _rref(rows_in: list, ncols: int):
     """Row-reduce sparse row dicts to RREF.
+
+    Returns (pivots, echelon) where pivots is a list of (col, echelon_index)
+    in column order and echelon rows are fully reduced with unit leading
+    coefficient and ``Fraction`` entries.  Computed modulo the primes of
+    ``_PRIMES`` and certified, or by ``_rref_fraction`` when no prime
+    certifies (see the module docstring).
+    """
+    rows = _integer_rows(rows_in)
+    if not rows:
+        return [], []
+    pivots: list = []
+    residues: list = []
+    modulus = 1
+    for p in _PRIMES:
+        piv_p, red_p = _rref_mod(rows, ncols, p)
+        if modulus > 1 and piv_p == pivots:
+            residues = [_crt(a, modulus, b, p) for a, b in zip(residues, red_p)]
+            modulus *= p
+        elif modulus == 1 or (-len(piv_p), piv_p) < (-len(pivots), pivots):
+            pivots, residues, modulus = piv_p, red_p, p
+        else:
+            continue  # fewer or later pivots than a previous prime: p is unlucky
+        lifted = _lift(residues, modulus)
+        if lifted is not None and _certified(rows, pivots, lifted):
+            return (
+                [(c, k) for k, c in enumerate(pivots)],
+                [{c: Fraction(n, d) for c, n, d in entries} for entries, _, _ in lifted],
+            )
+    return _rref_fraction(rows_in, ncols)
+
+
+def _integer_rows(rows_in: list) -> list:
+    """Each nonzero row times the lcm of its denominators (same row space)."""
+    out = []
+    for row in rows_in:
+        den = 1
+        for v in row.values():
+            if v.denominator != 1:
+                den = lcm(den, v.denominator)
+        irow = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        if irow:
+            out.append(irow)
+    return out
+
+
+def _rref_mod(rows: list, ncols: int, p: int):
+    """RREF of integer rows modulo p: (pivot columns, reduced rows as residues)."""
+    remaining = []
+    for row in rows:
+        r = {c: v % p for c, v in row.items() if v % p}
+        if r:
+            remaining.append(r)
+    echelon: list = []  # (pivot_col, row dict)
+    for col in range(ncols):
+        if not remaining:
+            break
+        pivot = None
+        for pos, row in enumerate(remaining):
+            if col in row:
+                pivot = pos
+                break
+        if pivot is None:
+            continue
+        prow = remaining.pop(pivot)
+        inv = pow(prow[col], -1, p)
+        prow = {c: v * inv % p for c, v in prow.items()}
+        for row in remaining + [erow for _, erow in echelon]:
+            x = row.get(col)
+            if x:
+                for c, v in prow.items():
+                    s = (row.get(c, 0) - x * v) % p
+                    if s:
+                        row[c] = s
+                    else:
+                        del row[c]
+        echelon.append((col, prow))
+        remaining = [r for r in remaining if r]
+    return [c for c, _ in echelon], [row for _, row in echelon]
+
+
+def _crt(a: dict, m: int, b: dict, p: int) -> dict:
+    """Residue rows mod m and mod p combined into one row mod m*p."""
+    minv = pow(m, -1, p)
+    out = {}
+    for c in a.keys() | b.keys():
+        x = a.get(c, 0)
+        out[c] = x + m * ((b.get(c, 0) - x) * minv % p)
+    return out
+
+
+def _lift(residues: list, m: int) -> Optional[list]:
+    """Rational reconstruction of residue rows mod m.
+
+    Returns per row (entries [(col, num, den)] in column order, integer row
+    num * (den_row / den), den_row), or None if an entry has no rational
+    with numerator and denominator at most sqrt(m/2).
+    """
+    bound = isqrt(m // 2)
+    out = []
+    for row in residues:
+        entries = []
+        den_row = 1
+        for c in sorted(row):
+            a = row[c]
+            if a <= bound:
+                entries.append((c, a, 1))
+            elif m - a <= bound:
+                entries.append((c, a - m, 1))
+            else:
+                nd = _ratrecon(a, m, bound)
+                if nd is None:
+                    return None
+                entries.append((c,) + nd)
+                den_row = lcm(den_row, nd[1])
+        out.append((entries, {c: n * (den_row // d) for c, n, d in entries}, den_row))
+    return out
+
+
+def _ratrecon(a: int, m: int, bound: int):
+    """(num, den) with num = a * den mod m, |num|, den <= bound, or None."""
+    r0, r1 = m, a
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if not r1 or s1 > bound or gcd(r1, s1) != 1:
+        return None
+    return r1, s1
+
+
+def _certified(rows: list, pivots: list, lifted: list) -> bool:
+    """Whether every integer row a equals sum over pivots c of a[c] * L_c.
+
+    L_c is the lifted row of pivot column c.  The check puts the row space
+    inside span(L); the L_c have unit pivots and there are rank_p <= rank_Q
+    of them, so the spans are equal and L is the rational RREF.  All
+    arithmetic is in integers, over the common denominator of the L_c.
+    """
+    den = 1
+    for _, _, d in lifted:
+        den = lcm(den, d)
+    scaled = {
+        c: (num if d == den else {k: v * (den // d) for k, v in num.items()})
+        for c, (_, num, d) in zip(pivots, lifted)
+    }
+    for row in rows:
+        acc: dict = {}
+        for c, x in row.items():
+            lc = scaled.get(c)
+            if lc is not None:
+                for k, v in lc.items():
+                    acc[k] = acc.get(k, 0) + x * v
+        if len(acc) < len(row):
+            return False
+        for k, v in row.items():
+            if acc.pop(k, 0) != v * den:
+                return False
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _rref_fraction(rows_in: list, ncols: int):
+    """Row-reduce sparse row dicts to RREF in ``Fraction`` arithmetic.
 
     Pivoting is leftmost-lowest: columns scanned left to right, pivot taken in
     the lowest-index not-yet-used row.  Returns (pivots, echelon) where pivots

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hopfcyclic
+from hopfcyclic import cli
 from hopfcyclic.bicomplex import Engine, hochschild_dims, total_cohomology
 from hopfcyclic.cli import main, parse_word
 from hopfcyclic.linalg import SparseMatrix
@@ -99,3 +105,28 @@ def test_rationals_serialize_as_strings(tmp_path):
           "--degree-max", "1", "--weight-max", "2"])
     text = (tmp_path / "cyclic-n1.json").read_text()
     assert "Fraction" not in text
+
+
+def test_internal_error_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    def boom(args, outdir):
+        raise KeyError(("a", 1))
+
+    monkeypatch.setitem(cli.COMMANDS, "goncarova", boom)
+    rc = main(["--output", str(tmp_path), "goncarova", "--k-max", "1", "--weight-max", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "internal error: KeyError: ('a', 1)\n"
+
+
+def test_reports_identical_under_python_O(tmp_path):
+    # every check and the certified elimination must hold without assert
+    env = dict(os.environ, PYTHONPATH=str(Path(hopfcyclic.__file__).parents[1]))
+    outputs = []
+    for flags, name in (([], "plain"), (["-O"], "optimized")):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "hopfcyclic.cli", "--output", str(tmp_path / name),
+             "goncarova", "--k-max", "1", "--weight-max", "4"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, (tmp_path / name / "goncarova.json").read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcyclic.errors import TruncationOverflow
+from hopfcyclic.errors import InvariantViolation, TruncationOverflow
 from hopfcyclic.faa import (
+    FContext,
     bicrossed_crosscheck,
     check_matched_pair,
     context,
@@ -11,6 +12,7 @@ from hopfcyclic.faa import (
     two_route_coproduct_check,
 )
 from hopfcyclic.jets import alpha_var
+from hopfcyclic.linalg import membership
 from hopfcyclic.poly import Poly
 from hopfcyclic.symbols import LinComb
 
@@ -43,6 +45,34 @@ def test_eta_alpha_roundtrip():
     assert F1.eta_to_alpha(F1.alpha_to_eta(p)) == p
     lc = LinComb({tuple(sorted((eta(2), eta(1)))): Fraction(2), (eta(3),): 1})
     assert F1.alpha_to_eta(F1.eta_to_alpha(lc)) == lc
+
+
+@pytest.mark.parametrize("n, jet_order, weights", [(1, 6, 5), (2, 4, 2), (3, 3, 2)])
+def test_alpha_to_eta_table_matches_membership(n, jet_order, weights):
+    # the oracle: one membership per alpha monomial in the eta-monomial span
+    F = context(n, jet_order)
+    for w in range(1, weights + 1):
+        emonos = F.eta_monos_of_weight(w)
+        cols = [{} for _ in emonos]
+        amonos = F.alpha_monos_of_weight(w)
+        aidx = {m: i for i, m in enumerate(amonos)}
+        for j, em in enumerate(emonos):
+            for mono, c in F.eta_mono_poly(em).terms.items():
+                cols[j][aidx[mono]] = c
+        for mono in amonos:
+            coeffs = membership({aidx[mono]: Fraction(1)}, cols)
+            want = LinComb({emonos[j]: c for j, c in enumerate(coeffs) if c})
+            assert F.alpha_mono_to_eta(mono) == want
+            assert F.eta_to_alpha(want) == Poly({mono: Fraction(1)})
+
+
+def test_singular_conversion_raises(monkeypatch):
+    F = FContext(1, 5)
+    emonos = F.eta_monos_of_weight(2)
+    first = F.eta_mono_poly(emonos[0])
+    monkeypatch.setattr(F, "eta_mono_poly", lambda em: first)  # two equal columns
+    with pytest.raises(InvariantViolation, match="outside the eta-monomial span"):
+        F.alpha_mono_to_eta(F.alpha_monos_of_weight(2)[0])
 
 
 def test_f_coproduct_alpha_primitive():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcyclic import linalg
 from hopfcyclic.errors import CompositionNonzero, ShapeMismatch
 from hopfcyclic.linalg import (
     Quotient,
@@ -139,3 +140,87 @@ def test_quotient_projection():
     p1 = q.project({1: Fraction(1)})
     assert p0 == {k: -v for k, v in p1.items()}
     assert q.project({0: Fraction(1), 1: Fraction(1)}) == {}
+
+
+def test_matmul_matches_dense_product():
+    import random
+
+    rng = random.Random(7)
+    for _ in range(40):
+        nr, nk, nc = rng.randint(0, 6), rng.randint(1, 6), rng.randint(0, 6)
+        a = [[Fraction(rng.choice([0, 0, 1, -2, 3]), rng.choice([1, 2])) for _ in range(nk)]
+             for _ in range(nr)]
+        b = [[Fraction(rng.choice([0, 0, 1, -1, 5])) for _ in range(nc)] for _ in range(nk)]
+        want = SparseMatrix(nr, nc)
+        for r in range(nr):
+            for c in range(nc):
+                want[r, c] = sum((a[r][k] * b[k][c] for k in range(nk)), Fraction(0))
+        ma = SparseMatrix(nr, nk, {(r, k): a[r][k] for r in range(nr) for k in range(nk)})
+        mb = SparseMatrix(nk, nc, {(k, c): b[k][c] for k in range(nk) for c in range(nc)})
+        assert ma.matmul(mb) == want
+
+
+# entries of every size the modular path treats differently: small, beyond
+# one prime's reconstruction bound, beyond 2^40, with and without denominators
+entry = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.integers(min_value=-(2**70), max_value=2**70).map(Fraction),
+    st.builds(Fraction, st.integers(min_value=-(2**45), max_value=2**45),
+              st.integers(min_value=1, max_value=2**42)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=7), st.data())
+def test_modular_rref_matches_fraction_elimination(nr, nc, data):
+    rows = [{c: x for c in range(nc) if (x := data.draw(entry))} for _ in range(nr)]
+    if nr >= 2 and data.draw(st.booleans()):  # a dependent row lowers the rank
+        k = data.draw(st.integers(min_value=-3, max_value=3))
+        extra = {c: rows[0].get(c, 0) + k * rows[1].get(c, 0) for c in range(nc)}
+        rows.append({c: x for c, x in extra.items() if x})
+    want = linalg._rref_fraction([dict(r) for r in rows], nc)
+    assert linalg._rref([dict(r) for r in rows], nc) == want
+
+
+def _record_primes(monkeypatch):
+    primes, fallbacks = [], []
+    rref_mod, rref_fraction = linalg._rref_mod, linalg._rref_fraction
+
+    def recording_mod(rows, ncols, p):
+        primes.append(p)
+        return rref_mod(rows, ncols, p)
+
+    def recording_fraction(rows, ncols):
+        fallbacks.append(ncols)
+        return rref_fraction(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_rref_mod", recording_mod)
+    monkeypatch.setattr(linalg, "_rref_fraction", recording_fraction)
+    return primes, fallbacks
+
+
+def test_rank_drop_modulo_the_first_prime(monkeypatch):
+    p = linalg._PRIMES[0]
+    primes, fallbacks = _record_primes(monkeypatch)
+    # rows agree modulo p: rank 1 there, rank 2 over Q
+    m = SparseMatrix.from_dense([[1, 1, 2], [1, 1 + p, 2]])
+    assert rank_and_kernel(m) == (2, [{0: Fraction(-2), 2: Fraction(1)}])
+    assert primes == list(linalg._PRIMES[:2]) and not fallbacks
+    primes.clear()
+    assert rank_and_kernel(SparseMatrix.from_dense([[p, 0]])) == (1, [{1: Fraction(1)}])
+    assert primes == list(linalg._PRIMES[:2]) and not fallbacks
+
+
+def test_rref_beyond_one_prime_reaches_next_prime_or_fallback(monkeypatch):
+    primes, fallbacks = _record_primes(monkeypatch)
+    # RREF [1, b/a] with a > sqrt(p/2): one prime cannot reconstruct b/a
+    a, b = 3**30, 2**45 + 1
+    assert rank_and_kernel(SparseMatrix.from_dense([[a, b]])) == (1, [{0: Fraction(-b, a), 1: 1}])
+    assert primes == list(linalg._PRIMES[:2]) and not fallbacks
+    primes.clear()
+    # beyond the reconstruction bound of all the primes together
+    a, b = 3**90, 2**140 + 1
+    pivots, echelon = linalg._rref([{0: Fraction(a), 1: Fraction(b)}], 2)
+    assert pivots == [(0, 0)] and echelon == [{0: 1, 1: Fraction(b, a)}]
+    assert primes == list(linalg._PRIMES) and fallbacks == [2]
