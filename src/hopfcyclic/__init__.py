@@ -63,7 +63,6 @@ from .linalg import (
     Quotient,
     Rational,
     SparseMatrix,
-    cohomology_dim,
     membership,
     rank,
     rank_and_kernel,

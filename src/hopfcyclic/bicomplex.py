@@ -19,18 +19,26 @@ Differentials:
 The mixed complex is (C, b, B) with C^m = sum of spots p+q=m, b = beta_F and
 B = (-1)^p del_g; HC^m comes from the (b,B)-double complex total
 Tot^m = sum_k C^{m-2k}, Hochschild cohomology from b alone.
+
+Each spot (p, q, w) has three ``Engine`` methods, and every caller goes
+through them: ``coordinates`` (words -> rows of the spot, one cached index
+per spot), ``spot_map`` (the columns of b or B on the spot's words) and
+``gl_relation`` (the gl_n relation the relative kind divides out).  Block
+matrices, the Goncarova row complex, the homotopy lemma and the Chern checks
+are built from them, so a per-block memo or a split of each spot by torus
+weight acts in these three places only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import CompositionNonzero, InfeasibleCut, InvariantViolation, RankMismatch
 from .faa import FContext, context
 from .linalg import Quotient, SparseMatrix, membership, rank, rank_and_kernel
-from .symbols import LinComb, madd, perm_sign, wedge_normalize
+from .symbols import LinComb, madd, perm_sign, record_check, wedge_normalize
 
 X_WEIGHT = 1
 Y_WEIGHT = 0
@@ -41,7 +49,13 @@ def gen_weight(g) -> int:
 
 
 class Engine:
-    """Bicomplex engine; kind is 'absolute' (Lambda g) or 'relative' (Lambda V mod gl_n)."""
+    """Bicomplex engine; kind is 'absolute' (Lambda g) or 'relative' (Lambda V mod gl_n).
+
+    Per spot: ``coordinates`` (the spot's word -> row index), ``spot_map``
+    (b or B columns into the target spot) and ``gl_relation`` (the relative
+    kind's relations).  ``matrix`` assembles blocks from them; a block memo
+    or a torus-weight split of the spots attaches to these methods.
+    """
 
     def __init__(self, n: int, w_max: int, kind: str = "absolute", jet_order: int | None = None):
         if kind not in ("absolute", "relative"):
@@ -58,6 +72,7 @@ class Engine:
         self.y_syms = [("Y", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         self.wedge_syms = self.x_syms + (self.y_syms if kind == "absolute" else [])
         self._spot_cache: dict = {}
+        self._index_cache: dict = {}
         self._quotient_cache: dict = {}
         self._act_cache: dict = {}
         self._redcop_cache: dict = {}
@@ -254,6 +269,58 @@ class Engine:
 
         rec(0, [], [])
 
+    # ------------------------------------------------------------ per spot
+
+    @staticmethod
+    def target(op: str, p: int, q: int):
+        """The spot that b (op 'b') or B (op 'B') maps spot (p, q) into."""
+        return (p + 1, q) if op == "b" else (p, q - 1)
+
+    def coordinates(self, terms: dict, p: int, q: int, w: int, scale=1) -> dict:
+        """scale * {word: coefficient} as {row: Fraction} in the full spot (p, q, w).
+
+        The word -> row index of each spot is built once."""
+        if not terms:
+            return {}
+        key = (p, q, w)
+        idx = self._index_cache.get(key)
+        if idx is None:
+            idx = self._index_cache[key] = {b: i for i, b in enumerate(self.spot_basis(p, q, w))}
+        out = {}
+        for word, c in terms.items():
+            row = idx.get(word)
+            if row is None:
+                raise InvariantViolation(f"image left the block: {word}")
+            out[row] = Fraction(c if scale == 1 else scale * c)  # Fraction times 1 costs a gcd
+        return out
+
+    def spot_map(self, op: str, p: int, q: int, w: int, words=None) -> list:
+        """Columns of b (beta_F) or B ((-1)^p del_g) on the given words of spot
+        (p, q, w) (default: all of them), in the target spot's full coordinates."""
+        if words is None:
+            words = self.spot_basis(p, q, w)
+        tp, tq = self.target(op, p, q)
+        fn, sign = (self.beta_f, 1) if op == "b" else (self.del_g, (-1) ** p)
+        return [self.coordinates(fn(word).terms, tp, tq, w, sign) for word in words]
+
+    def gl_relation(self, word, ysym) -> dict:
+        """(m <| Y) (x) v - m (x) ad_Y(v) for the word m (x) v and Y = Y_i^j,
+        as {word: coefficient}; its span is what the relative kind divides out."""
+        fword, wedge = word
+        rel: dict = {}
+        dz = self._delta_char(ysym)
+        if dz:
+            madd(rel, word, dz)
+        for fm, c in self._act_fword(ysym, fword).terms.items():
+            madd(rel, (fm, wedge), -c)
+        for a, sym in enumerate(wedge):
+            for s2, c in self._bracket(ysym, sym).terms.items():
+                if s2[0] == "Y":
+                    continue
+                for wkey, cw in wedge_normalize(wedge[:a] + (s2,) + wedge[a + 1 :]).terms.items():
+                    madd(rel, (fword, wkey), -c * cw)
+        return rel
+
     # --------------------------------------------------------- block assembly
 
     def spots_of_degree(self, m: int, w: int):
@@ -270,35 +337,12 @@ class Engine:
     def quotient(self, p: int, q: int, w: int) -> Quotient | None:
         """gl_n-coinvariant quotient of the spot (relative kind only)."""
         key = (p, q, w)
-        if key in self._quotient_cache:
-            return self._quotient_cache[key]
-        basis = self.spot_basis(p, q, w)
-        idx = {b: i for i, b in enumerate(basis)}
-        relations = []
-        for (fword, wedge) in basis:
-            for ysym in self.y_syms:
-                rel: dict = {}
-                col = idx[(fword, wedge)]
-                # (m <| Y) (x) w - m (x) (ad_Y w)
-                dz = self._delta_char(ysym)
-                if dz:
-                    madd(rel, col, Fraction(dz))
-                for fm, c in self._act_fword(ysym, fword).terms.items():
-                    madd(rel, idx[(fm, wedge)], Fraction(-c))
-                for a, sym in enumerate(wedge):
-                    br = self._bracket(ysym, sym)
-                    for s2, c in br.terms.items():
-                        if s2[0] == "Y":
-                            continue
-                        for wkey, cw in wedge_normalize(
-                            wedge[:a] + (s2,) + wedge[a + 1 :]
-                        ).terms.items():
-                            madd(rel, idx[(fword, wkey)], Fraction(-c * cw))
-                if rel:
-                    relations.append(rel)
-        quot = Quotient(len(basis), relations)
-        self._quotient_cache[key] = quot
-        return quot
+        if key not in self._quotient_cache:
+            basis = self.spot_basis(p, q, w)
+            relations = [rel for word in basis for ysym in self.y_syms
+                         if (rel := self.coordinates(self.gl_relation(word, ysym), p, q, w))]
+            self._quotient_cache[key] = Quotient(len(basis), relations)
+        return self._quotient_cache[key]
 
     def block(self, m: int, w: int):
         """Coordinate description of C^m_w: list of (p, q, basis, offset[, quotient])."""
@@ -319,45 +363,18 @@ class Engine:
     def matrix(self, op: str, m: int, w: int) -> SparseMatrix:
         """b (=beta_F) or B (=(-1)^p del_g) as a block matrix C^m_w -> C^{m'}_w."""
         src, src_dim = self.block(m, w)
-        tgt_m = m + 1 if op == "b" else m - 1
-        tgt, tgt_dim = self.block(tgt_m, w)
-        tindex = {}
-        for (p, q, basis, offset, quot) in tgt:
-            if quot is None:
-                for i, b in enumerate(basis):
-                    tindex[(p, q, b)] = offset + i
-            else:
-                tindex[(p, q)] = ({b: i for i, b in enumerate(basis)}, offset, quot)
+        tgt, tgt_dim = self.block(m + 1 if op == "b" else m - 1, w)
+        tspots = {(p, q): (offset, quot) for (p, q, _, offset, quot) in tgt}
         mat = SparseMatrix(tgt_dim, src_dim)
         for (p, q, basis, offset, quot) in src:
-            tp, tq = (p + 1, q) if op == "b" else (p, q - 1)
-            fn = self.beta_f if op == "b" else self.del_g
-            sign = 1 if op == "b" else (-1) ** p
-            if quot is None:
-                cols = [(offset + i, LinComb.unit(b)) for i, b in enumerate(basis)]
-            else:
-                bindex = basis
-                cols = []
-                for i, full_idx in enumerate(quot.basis):
-                    cols.append((offset + i, LinComb.unit(bindex[full_idx])))
-            for col, elem in cols:
-                img: dict = {}
-                for wkey, c in elem.terms.items():
-                    for ik, ic in fn(wkey).terms.items():
-                        madd(img, ik, sign * c * ic)
-                if not img:
+            words = basis if quot is None else [basis[i] for i in quot.basis]
+            cols = self.spot_map(op, p, q, w, words)
+            for i, col in enumerate(cols):
+                if not col:
                     continue
-                if self.kind == "relative":
-                    bidx, toff, tquot = tindex[(tp, tq)]
-                    vec = {bidx[k]: Fraction(c) for k, c in img.items()}
-                    for r, v in tquot.project(vec).items():
-                        mat[toff + r, col] = v
-                else:
-                    for k, c in img.items():
-                        row = tindex.get((tp, tq, k))
-                        if row is None:
-                            raise InvariantViolation(f"image left the block: {k}")
-                        mat[row, col] = Fraction(c)
+                toff, tquot = tspots[self.target(op, p, q)]
+                for r, v in (col if tquot is None else tquot.project(col)).items():
+                    mat[toff + r, offset + i] = v
         return mat
 
     def total_layout(self, m: int, w: int):
@@ -593,14 +610,7 @@ def goncarova_check(k_max: int, w_max: int, n: int = 1) -> dict:
     eng = engine(n, w_max, "absolute")
 
     def beta_matrix(p: int, w: int) -> SparseMatrix:
-        src = eng.spot_basis(p, 0, w)
-        tgt = eng.spot_basis(p + 1, 0, w)
-        tidx = {b: i for i, b in enumerate(tgt)}
-        mat = SparseMatrix(len(tgt), len(src))
-        for c, word in enumerate(src):
-            for k, v in eng.beta_f(word).terms.items():
-                mat[tidx[k], c] = Fraction(v)
-        return mat
+        return SparseMatrix.from_columns(len(eng.spot_basis(p + 1, 0, w)), eng.spot_map("b", p, 0, w))
 
     degrees = range(1, k_max + 1)
     dims: dict = {k: {} for k in degrees}
@@ -629,12 +639,7 @@ def engine_invariants(n: int, degree_max: int, w_max: int, kind: str = "absolute
     eng = engine(n, w_max, kind)
     report = {"n": n, "kind": kind, "checks": {}, "passed": True}
 
-    def record(name, failures, checked):
-        entry = {"checked": checked, "passed": not failures}
-        if failures:
-            entry["first_counterexample"] = repr(failures[0])
-            report["passed"] = False
-        report["checks"][name] = entry
+    record = partial(record_check, report, "checks")
 
     sq_b, sq_B, anti = [], [], []
     checked = 0
@@ -704,39 +709,32 @@ def engine_invariants(n: int, degree_max: int, w_max: int, kind: str = "absolute
                 src = eng.spot_basis(p, 0, w)
                 if not src:
                     continue
-                tgt = eng.spot_basis(p + 1, 0, w + 1)
-                tidx = {b: i for i, b in enumerate(tgt)}
-                bmat = SparseMatrix(len(eng.spot_basis(p + 1, 0, w)), len(src))
-                t2 = {b: i for i, b in enumerate(eng.spot_basis(p + 1, 0, w))}
-                for c, word in enumerate(src):
-                    for k, v in eng.beta_f(word).terms.items():
-                        bmat[t2[k], c] = Fraction(v)
+                bmat = SparseMatrix.from_columns(len(eng.spot_basis(p + 1, 0, w)),
+                                                 eng.spot_map("b", p, 0, w))
                 _, kernel = rank_and_kernel(bmat)
+                # beta on spot (p, 0, w+1), where X.f~ lives; its columns span
+                # the coboundaries gamma(f~) must lie in
+                full_b = eng.spot_map("b", p, 0, w + 1)
+                span_cols = [c for c in full_b if c]
                 for v in kernel:
                     count += 1
                     # gamma(f~) = f~ (x) eta1 as a vector in spot (p+1, 0, w+1);
                     # witness X.f~ = (-1)^{p+1} (1 >< X)-action (sign from the
                     # commuting square), scaled by 1/|f~|
-                    gamma: dict = {}
+                    fwords = [(src[col][0], coeff) for col, coeff in v.items()]
+                    gamma = eng.coordinates({(fw + ((eta1,),), ()): c for fw, c in fwords},
+                                            p + 1, 0, w + 1)
                     xf = LinComb.zero()
-                    sgn = (-1) ** (p + 1)
-                    for col, coeff in v.items():
-                        fword, _ = src[col]
-                        madd(gamma, tidx[(fword + ((eta1,),), ())], Fraction(coeff))
-                        xf = xf + eng._act_fword(("X", 1), fword).scale(sgn * coeff)
+                    for fword, coeff in fwords:
+                        xf = xf + eng._act_fword(("X", 1), fword).scale((-1) ** (p + 1) * coeff)
                     beta_xf: dict = {}
-                    for fw, c in xf.terms.items():
-                        for k, cc in eng.beta_f((fw, ())).terms.items():
-                            madd(beta_xf, tidx[k], Fraction(c * cc, w))
+                    xcoords = eng.coordinates({(fw, ()): c for fw, c in xf.terms.items()}, p, 0, w + 1)
+                    for row, c in xcoords.items():
+                        for k, cc in full_b[row].items():
+                            madd(beta_xf, k, c * cc / w)
                     if beta_xf != gamma:
                         fails.append((p, w))
-                    span_cols = []
-                    full_b = SparseMatrix(len(tgt), len(eng.spot_basis(p, 0, w + 1)))
-                    for c2, word in enumerate(eng.spot_basis(p, 0, w + 1)):
-                        for k, vv in eng.beta_f(word).terms.items():
-                            full_b[tidx[k], c2] = Fraction(vv)
-                    span_cols = [full_b.column(c2) for c2 in range(full_b.cols)]
-                    if membership(gamma, [c for c in span_cols if c]) is None:
+                    if membership(gamma, span_cols) is None:
                         fails.append(("membership", p, w))
         record("homotopy_lemma", fails, count)
     return report

@@ -16,7 +16,6 @@ factors by an ordered projection pi.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 from .bicomplex import Engine, engine, total_blocks
@@ -66,6 +65,22 @@ def _antisym_fword(etas: tuple) -> LinComb:
     return LinComb.from_dict(acc)
 
 
+def _paired_etas(n: int, m: int, sigma):
+    """The terms both C_{p,sigma} and theta(sigma, pi) sum over: for mu in S_n
+    and j_1..j_m in 1..n, yield the m weight-one eta's e^{j_a}[mu(a), j_{sigma(a)}],
+    the normalized wedge X_{mu(m+1)} ^ ... ^ X_{mu(n)} and sign(mu) times its
+    normalization sign."""
+    for mu in permutations(range(1, n + 1)):
+        smu = perm_sign(mu)
+        wn = wedge_normalize(tuple(("X", mu[a]) for a in range(m, n)))
+        if wn.is_zero():
+            continue
+        ((wkey, wsign),) = wn.terms.items()
+        for js in iproduct(range(1, n + 1), repeat=m):
+            yield (tuple((js[a], tuple(sorted((mu[a], js[sigma[a] - 1]))), ()) for a in range(m)),
+                   wkey, smu * wsign)
+
+
 def build_C(n: int, p: int, sigma, eng: Engine | None = None) -> LinComb:
     """The Chern cochain C_{p,sigma} as a LinComb over (fword, wedge) words.
 
@@ -83,20 +98,9 @@ def build_C(n: int, p: int, sigma, eng: Engine | None = None) -> LinComb:
     if isinstance(sigma, tuple) and sorted(sigma, reverse=True) == list(sigma) and sum(sigma) == p:
         sigma = cycle_permutation(sigma)
     acc: dict = {}
-    for mu in permutations(range(1, n + 1)):
-        smu = perm_sign(mu)
-        wedge_syms = tuple(("X", mu[a]) for a in range(p, n))
-        wn = wedge_normalize(wedge_syms)
-        if wn.is_zero():
-            continue
-        ((wkey, wsign),) = wn.terms.items()
-        for js in iproduct(range(1, n + 1), repeat=p):
-            etas = []
-            for a in range(p):
-                pair = tuple(sorted((mu[a], js[sigma[a] - 1])))
-                etas.append((js[a], pair, ()))
-            for fword, fsign in _antisym_fword(tuple(etas)).terms.items():
-                madd(acc, (fword, wkey), smu * wsign * fsign)
+    for etas, wkey, sign in _paired_etas(n, p, sigma):
+        for fword, fsign in _antisym_fword(etas).terms.items():
+            madd(acc, (fword, wkey), sign * fsign)
     return LinComb.from_dict(acc)
 
 
@@ -116,22 +120,9 @@ def ordered_projections(m: int, parts: int):
 def theta(n: int, sigma: tuple, pi: tuple, q: int) -> LinComb:
     """theta(sigma, pi): n-q weight-one eta's paired by sigma, grouped into
     tensor factors by the ordered projection pi; wedge of the remaining X's."""
-    m = n - q
     acc: dict = {}
-    for mu in permutations(range(1, n + 1)):
-        smu = perm_sign(mu)
-        wedge_syms = tuple(("X", mu[a]) for a in range(m, n))
-        wn = wedge_normalize(wedge_syms)
-        if wn.is_zero():
-            continue
-        ((wkey, wsign),) = wn.terms.items()
-        for js in iproduct(range(1, n + 1), repeat=m):
-            etas = []
-            for a in range(m):
-                pair = tuple(sorted((mu[a], js[sigma[a] - 1])))
-                etas.append((js[a], pair, ()))
-            fword = tuple(tuple(sorted(etas[lo:hi])) for lo, hi in pi)
-            madd(acc, (fword, wkey), smu * wsign)
+    for etas, wkey, sign in _paired_etas(n, n - q, sigma):
+        madd(acc, (tuple(tuple(sorted(etas[lo:hi])) for lo, hi in pi), wkey), sign)
     return LinComb.from_dict(acc)
 
 
@@ -145,12 +136,6 @@ def theta_basis(n: int, p: int, q: int):
             if not t.is_zero():
                 out.append(((sigma, pi), t))
     return out
-
-
-def _word_vector(eng: Engine, elem: LinComb, p: int, q: int, w: int):
-    basis = eng.spot_basis(p, q, w)
-    idx = {b: i for i, b in enumerate(basis)}
-    return {idx[k]: Fraction(c) for k, c in elem.terms.items()}
 
 
 def theta_span_report(n: int, p_max: int, q_max: int) -> dict:
@@ -168,27 +153,15 @@ def theta_span_report(n: int, p_max: int, q_max: int) -> dict:
                 continue
             quot = eng.quotient(p, q, n)
             thetas = theta_basis(n, p, q)
-            vecs = [_word_vector(eng, t, p, q, n) for _, t in thetas]
+            vecs = [eng.coordinates(t.terms, p, q, n) for _, t in thetas]
             # h-invariance: each relation operator kills theta exactly
             invariant = True
-            idx = {b: i for i, b in enumerate(basis)}
             for _, t in thetas:
                 for ysym in eng.y_syms:
                     img: dict = {}
-                    for (fword, wedge), c in t.terms.items():
-                        dz = eng._delta_char(ysym)
-                        if dz:
-                            madd(img, (fword, wedge), c * dz)
-                        for fm, cc in eng._act_fword(ysym, fword).terms.items():
-                            madd(img, (fm, wedge), -c * cc)
-                        for a, sym in enumerate(wedge):
-                            for s2, cb in eng._bracket(ysym, sym).terms.items():
-                                if s2[0] == "Y":
-                                    continue
-                                for wk, cw in wedge_normalize(
-                                    wedge[:a] + (s2,) + wedge[a + 1 :]
-                                ).terms.items():
-                                    madd(img, (fword, wk), -c * cb * cw)
+                    for word, c in t.terms.items():
+                        for k, v in eng.gl_relation(word, ysym).items():
+                            madd(img, k, c * v)
                     if img:
                         invariant = False
             proj = [quot.project(v) for v in vecs]
@@ -275,17 +248,9 @@ def verify_relative_classes(n: int, jet_order: int | None = None) -> dict:
         c = build_C(n, p, lam if p else None, eng)
         # cocycle under both differentials, computed in the full space then
         # projected to coinvariants
-        beta_img: dict = {}
-        del_img: dict = {}
-        for word, coeff in c.terms.items():
-            for k, v in eng.beta_f(word).terms.items():
-                madd(beta_img, k, coeff * v)
-            for k, v in eng.del_g(word).terms.items():
-                madd(del_img, k, coeff * v)
-        beta_zero = _projects_to_zero(eng, beta_img, p + 1, q, n)
-        del_zero = _projects_to_zero(eng, del_img, p, q - 1, n)
-        vec = _word_vector(eng, c, p, q, n)
-        proj = eng.quotient(p, q, n).project(vec)
+        beta_zero = _image_projects_to_zero(eng, "b", c, p, q, n)
+        del_zero = _image_projects_to_zero(eng, "B", c, p, q, n)
+        proj = eng.quotient(p, q, n).project(eng.coordinates(c.terms, p, q, n))
         nonzero = bool(proj)
         ok = beta_zero and del_zero and nonzero
         all_ok = all_ok and ok
@@ -325,12 +290,11 @@ def verify_relative_classes(n: int, jet_order: int | None = None) -> dict:
     }
 
 
-def _projects_to_zero(eng: Engine, img: dict, p: int, q: int, w: int) -> bool:
-    if not img:
-        return True
-    basis = eng.spot_basis(p, q, w)
-    if not basis:
-        return True
-    idx = {b: i for i, b in enumerate(basis)}
-    vec = {idx[k]: Fraction(c) for k, c in img.items()}
-    return not eng.quotient(p, q, w).project(vec)
+def _image_projects_to_zero(eng: Engine, op: str, c: LinComb, p: int, q: int, w: int) -> bool:
+    """Whether b or B (op) of the cochain c on spot (p, q, w) is zero in the
+    coinvariants of the target spot."""
+    vec: dict = {}
+    for col, coeff in zip(eng.spot_map(op, p, q, w, list(c.terms)), c.terms.values()):
+        for r, v in col.items():
+            madd(vec, r, coeff * v)
+    return not vec or not eng.quotient(*eng.target(op, p, q), w).project(vec)

@@ -20,11 +20,11 @@ from the matrix and reported, never truncated.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .hopf import algebra
 from .linalg import SparseMatrix, membership
-from .symbols import LinComb, madd
+from .symbols import LinComb, madd, record_check
 
 
 class StandardModule:
@@ -42,11 +42,6 @@ class StandardModule:
 
     def word_weight(self, w: tuple) -> int:
         return sum(self.H.mono_weight(m) for m in w)
-
-    def in_block(self, w: tuple) -> bool:
-        return self.word_weight(w) <= self.weight_cut and all(
-            self.H.mono_degree(m) <= self.pbw_cut for m in w
-        )
 
     def words(self, m: int, weight: int | None = None):
         """Basis words of degree m with total weight <= cut (or == weight)."""
@@ -222,12 +217,7 @@ def check_cocyclic_identities(module: StandardModule, degree_max: int) -> dict:
         "passed": True,
     }
 
-    def record(name, failures, checked):
-        entry = {"checked": checked, "passed": not failures}
-        if failures:
-            entry["first_counterexample"] = repr(failures[0])
-            report["passed"] = False
-        report["identities"][name] = entry
+    record = partial(record_check, report, "identities")
 
     H = module.H
     dd, ss, sd, td, ts, ce = [], [], [], [], [], []
@@ -306,12 +296,7 @@ def check_mixed_complex(module: StandardModule, degree_max: int) -> dict:
     """b^2 = 0, B^2 = 0, bB + Bb = 0 on every word within the cuts."""
     report = {"degree_max": degree_max, "identities": {}, "passed": True}
 
-    def record(name, failures, checked):
-        entry = {"checked": checked, "passed": not failures}
-        if failures:
-            entry["first_counterexample"] = repr(failures[0])
-            report["passed"] = False
-        report["identities"][name] = entry
+    record = partial(record_check, report, "identities")
 
     bb, BB, anti = [], [], []
     n = 0

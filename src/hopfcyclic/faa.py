@@ -21,12 +21,13 @@ its product/coproduct/antipode closes the circle back to H_n.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import InvariantViolation, TruncationOverflow
 from .hopf import HopfAlgebra, algebra, delta_weight
 from .jets import (
     Jet,
+    _series_mul,
     alpha_var,
     compose,
     infinitesimal_action,
@@ -37,22 +38,10 @@ from .jets import (
 )
 from .linalg import SparseMatrix, rank_and_kernel
 from .linalg import membership  # noqa: F401  (a binding perfbench/tests checks is traced)
-from .poly import ONE_MONO, Poly
-from .symbols import LinComb
+from .poly import ONE_MONO, POLY_RING, Poly
+from .symbols import LinComb, record_check
 
 PSI = "a"  # canonical variable family; "L"/"R" are reserved for coproduct legs
-
-
-def _series_mul(a: dict, b: dict, order: int) -> dict:
-    out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            if len(m1) + len(m2) > order:
-                continue
-            m = tuple(sorted(m1 + m2))
-            prev = out.get(m)
-            out[m] = c1 * c2 if prev is None else prev + c1 * c2
-    return {m: c for m, c in out.items() if not c.is_zero()}
 
 
 def _series_sum(ss: list) -> dict:
@@ -129,7 +118,8 @@ class FContext:
         sign = -1
         for _ in range(order):
             powa = [
-                [_series_sum([_series_mul(powa[i][l], a[l][j], order) for l in range(n)]) for j in range(n)]
+                [_series_sum([_series_mul(powa[i][l], a[l][j], order, POLY_RING) for l in range(n)])
+                 for j in range(n)]
                 for i in range(n)
             ]
             inv = [
@@ -147,7 +137,7 @@ class FContext:
             order = self.J - 1
             djk = [_series_dx(_series_dx(self._psi.comps[nu], j), k) for nu in range(self.n)]
             self._eta_series_cache[key] = _series_sum(
-                [_series_mul(inv[i - 1][nu], djk[nu], order) for nu in range(self.n)]
+                [_series_mul(inv[i - 1][nu], djk[nu], order, POLY_RING) for nu in range(self.n)]
             )
         return self._eta_series_cache[key]
 
@@ -175,9 +165,6 @@ class FContext:
         return out
 
     # -------------------------------------------------------- basis / convert
-
-    def eta_keys_of_weight(self, w: int):
-        return [k for k in self.H.delta_keys_upto(w) if delta_weight(k) == w]
 
     def eta_monos_of_weight(self, w: int):
         keys = [k for k in self.H.delta_keys_upto(w)]
@@ -421,13 +408,6 @@ class FContext:
             raise InvariantViolation("U(g) product left the delta-free subalgebra")
         return out
 
-    def u_mul_lc(self, a: LinComb, b: LinComb) -> LinComb:
-        out = LinComb.zero()
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                out = out + self.u_mul(m1, m2).scale(c1 * c2)
-        return out
-
     def u_coproduct(self, umono) -> LinComb:
         """Primitive-multiplicative coproduct of U(g) (not the H_n one)."""
         if umono not in self._ucop_cache:
@@ -644,12 +624,7 @@ def check_matched_pair(n: int, jet_order: int, weight_cut: int | None = None) ->
     eta_fs = [k for k in F.H.delta_keys_upto(W)]
     report = {"n": n, "jet_order": jet_order, "weight_cut": W, "axioms": {}, "passed": True}
 
-    def record(name, failures, checked):
-        entry = {"checked": checked, "passed": not failures}
-        if failures:
-            entry["first_counterexample"] = repr(failures[0])
-            report["passed"] = False
-        report["axioms"][name] = entry
+    record = partial(record_check, report, "axioms")
 
     # mp1
     fails = []
@@ -792,12 +767,7 @@ def bicrossed_crosscheck(n: int, jet_order: int, weight_cut: int, pbw_cut: int) 
     report = {"n": n, "jet_order": jet_order, "weight_cut": weight_cut,
               "pbw_cut": pbw_cut, "basis_size": len(basis), "checks": {}, "passed": True}
 
-    def record(name, failures, checked):
-        entry = {"checked": checked, "passed": not failures}
-        if failures:
-            entry["first_counterexample"] = failures[0]
-            report["passed"] = False
-        report["checks"][name] = entry
+    record = partial(record_check, report, "checks", render=None)
 
     def iso_lc(elem: LinComb) -> LinComb:
         out = LinComb.zero()

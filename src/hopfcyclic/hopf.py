@@ -19,11 +19,11 @@ grading wt(X)=1, wt(Y)=0, wt(delta)=1+r.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 from .errors import TruncationOverflow
-from .symbols import LinComb, lc_sum, madd
+from .symbols import LinComb, lc_sum, madd, record_check
 
 # generator tokens: ("X", k), ("Y", i, j), ("D", i, (j, k), trailing)
 # delta key: (i, (j, k), trailing) with j <= k <= trailing[0] (if any)
@@ -632,12 +632,7 @@ def verify_hopf_axioms(n: int, weight_cut: int, pbw_cut: int) -> dict:
         "passed": True,
     }
 
-    def record(name, failures, checked):
-        entry = {"checked": checked, "passed": not failures}
-        if failures:
-            entry["first_counterexample"] = failures[0]
-            report["passed"] = False
-        report["checks"][name] = entry
+    record = partial(record_check, report, "checks", render=None)
 
     one = H.one()
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
-from .errors import CompositionNonzero, RankMismatch, ShapeMismatch
+from .errors import ShapeMismatch
 from .symbols import madd
 
 Rational = Fraction
@@ -412,21 +412,6 @@ def membership(v: SparseVec, span: list) -> Optional[list]:
             return None
         coeffs[pcol] = echelon[k].get(len(span), Fraction(0))
     return coeffs
-
-
-def cohomology_dim(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
-    """dim ker(d_out) - rank(d_in) at the spot d_in -> V -> d_out."""
-    if d_out.cols != d_in.rows:
-        raise ShapeMismatch(
-            f"composition shape: d_out has {d_out.cols} cols, d_in has {d_in.rows} rows"
-        )
-    if not d_out.matmul(d_in).is_zero():
-        raise CompositionNonzero("d_out . d_in != 0")
-    r_out, kernel = rank_and_kernel(d_out)
-    dim_ker = d_out.cols - r_out
-    if dim_ker != len(kernel):
-        raise RankMismatch(f"rank-nullity: {dim_ker} free columns, {len(kernel)} kernel vectors")
-    return dim_ker - rank(d_in)
 
 
 class Quotient:

@@ -20,6 +20,18 @@ def madd(d: dict, k, v) -> None:
         d.pop(k, None)
 
 
+def record_check(report: dict, section: str, name: str, failures: list, checked: int,
+                 render: Callable | None = repr) -> None:
+    """Enter check ``name`` in report[section]: cases checked, passed, and the
+    first counterexample (through ``render``, or as is when it is None); a
+    failure also clears report["passed"]."""
+    entry = {"checked": checked, "passed": not failures}
+    if failures:
+        entry["first_counterexample"] = render(failures[0]) if render else failures[0]
+        report["passed"] = False
+    report[section][name] = entry
+
+
 class LinComb:
     """Immutable-by-convention {key: Fraction} with vector-space operations."""
 

@@ -20,6 +20,17 @@ from hopfcyclic.faa import bicrossed_crosscheck, check_matched_pair, two_route_c
 from hopfcyclic.hopf import bianchi_check, confluence_smoke_test, verify_hopf_axioms
 
 
+# digests of reports that every refactor must leave byte-identical
+REPORT_SHA256 = {
+    "total_cohomology(1, 2, 7)": "4d3cfe1280bbbec655185b3f433c9706d45866dec6cacc6e86c2886ab8d8cd98",
+    "hochschild_dims(1, 2, 7)": "4f940516a9d96ecb05117e6614ef2f80d1b5fe369f84803d953f43a8777496b2",
+    "goncarova_check(2, 8)": "ca733bf3cd46f3c55857e12c1e72956195e47a24963beb7d2ad91e2f9ccb9af4",
+    "verify_relative_classes(2)": "c1d3543369b1c3b839c3aea8e73db19e045bbf8a42b9c1e51a11c19090d0cdf8",
+    "sign_invariance_report(3)": "07c534e0bba186a1d422f4bced277050f8f88f8970c7567afc9b961fea526e69",
+    "theta_span_report(2, 2, 2)": "95fecf135a6527216b83483b4fb4de2f9049e2bf07d43ddb0931c35f137ce4ab",
+}
+
+
 def _line(num: int, ok: bool, text: str):
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {text}")
     assert ok, text
@@ -70,7 +81,7 @@ def test_criterion_5_cocyclic_identities():
     _line(5, ok, f"cocyclic identities deg<=3 W<=4 incl. tau^(n+1)=1 and b/B relations ({counts})")
 
 
-def test_criterion_6_h1_cyclic_cohomology():
+def test_criterion_6_h1_cyclic_cohomology(report_sha256):
     t0 = time.time()
     r = total_cohomology(1, 2, 7)
     dims = {}
@@ -92,9 +103,10 @@ def test_criterion_6_h1_cyclic_cohomology():
         and elapsed < 600
     )
     _line(6, ok, f"HC(H_1) dims {dims} at w_max=7, GV non-coboundary certified, {elapsed:.1f}s")
+    assert report_sha256(r) == REPORT_SHA256["total_cohomology(1, 2, 7)"]
 
 
-def test_criterion_7_h1_hochschild():
+def test_criterion_7_h1_hochschild(report_sha256):
     r = hochschild_dims(1, 2, 7)
     dims, weights = {}, {}
     for b in r["blocks"]:
@@ -108,9 +120,10 @@ def test_criterion_7_h1_hochschild():
         and sorted(weights.get(2, [])) == [1, 2, 2, 3, 5, 7]
     )
     _line(7, ok, f"Hochschild(H_1) dims {dims}, class weights {dict(sorted(weights.items()))}")
+    assert report_sha256(r) == REPORT_SHA256["hochschild_dims(1, 2, 7)"]
 
 
-def test_criterion_8_goncarova():
+def test_criterion_8_goncarova(report_sha256):
     r = goncarova_check(2, 8)
     by_k = {b["k"]: b for b in r["blocks"]}
     ok = (
@@ -119,9 +132,10 @@ def test_criterion_8_goncarova():
         and by_k[2]["dims_by_weight"] == {"5": 1, "7": 1}
     )
     _line(8, ok, "row cohomology two-dimensional per degree at weights {1,2} and {5,7}, zero elsewhere <= 8")
+    assert report_sha256(r) == REPORT_SHA256["goncarova_check(2, 8)"]
 
 
-def test_criterion_9_relative_classes_n2():
+def test_criterion_9_relative_classes_n2(report_sha256):
     t0 = time.time()
     thm = verify_relative_classes(2)
     signs = sign_invariance_report(3)
@@ -137,11 +151,14 @@ def test_criterion_9_relative_classes_n2():
         and elapsed < 600
     )
     _line(9, ok, f"relative Chern basis n=2: 4 classes, cocycles, independent, wrong parity 0, signs p<=3, {elapsed:.1f}s")
+    assert report_sha256(thm) == REPORT_SHA256["verify_relative_classes(2)"]
+    assert report_sha256(signs) == REPORT_SHA256["sign_invariance_report(3)"]
 
 
-def test_criterion_10_gln_coinvariants():
+def test_criterion_10_gln_coinvariants(report_sha256):
     r = theta_span_report(2, 2, 2)
     ok = r["passed"] and all(
         b["theta_span_rank"] == b["coinvariant_dim"] and b["h_invariant"] for b in r["blocks"]
     )
     _line(10, ok, "theta(sigma,pi) span equals brute-force coinvariants for n=2, p<=2, q<=2")
+    assert report_sha256(r) == REPORT_SHA256["theta_span_report(2, 2, 2)"]

@@ -70,9 +70,11 @@ def test_sigma2_certificate_is_cocycle():
     assert not bimg and not Bimg
 
 
-def test_engine_invariants():
+def test_engine_invariants(report_sha256):
     rep = engine_invariants(1, 3, 4)
     assert rep["passed"], rep
+    # the report, byte for byte, covers the homotopy lemma and the spot maps
+    assert report_sha256(rep) == "3c78ae32c54f1318bb5bb34b230b4bdf6c17cd49d2626087ab2392cb9801d294"
 
 
 def test_hochschild_known_dims_small():

@@ -11,6 +11,7 @@ from hopfcyclic import cli
 from hopfcyclic.bicomplex import Engine, hochschild_dims, total_cohomology
 from hopfcyclic.cli import main, parse_word
 from hopfcyclic.linalg import SparseMatrix
+from hopfcyclic.symbols import LinComb
 
 
 def test_parse_word_grammar():
@@ -90,6 +91,17 @@ def test_goncarova_small(tmp_path):
     assert rc == 0
     data = json.loads((tmp_path / "goncarova.json").read_text())
     assert data["passed"] is True
+
+
+def test_image_outside_target_spot_is_a_typed_failure(tmp_path, monkeypatch, capsys):
+    # a beta image with a word its target spot does not contain is a check
+    # failure (exit 1, one line), not an internal KeyError
+    stray = ((("stray",),), ())
+    monkeypatch.setattr(Engine, "beta_f", lambda self, word: LinComb.unit(stray))
+    rc = main(["--output", str(tmp_path), "goncarova", "--k-max", "1", "--weight-max", "3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: image left the block") and err.count("\n") == 1
 
 
 def test_chern_n1(tmp_path, capsys):

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcyclic import linalg
+from hopfcyclic.bicomplex import block_cohomology
 from hopfcyclic.errors import CompositionNonzero, ShapeMismatch
 from hopfcyclic.linalg import (
     Quotient,
     SparseMatrix,
-    cohomology_dim,
     membership,
     rank,
     rank_and_kernel,
@@ -62,6 +62,15 @@ def test_kernel_vectors_annihilated():
     assert r == 2 and len(ker) == 1
     for v in ker:
         assert m.mul_vec(v) == {}
+
+
+def cohomology_dim(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
+    """dim ker(d_out) - rank(d_in) at the middle of d_in, d_out, through
+    block_cohomology with d(0, w) = d_in and d(1, w) = d_out."""
+    ds = {0: d_in, 1: d_out}
+    ((_, _, dim, _),) = block_cohomology(lambda m, w: ds[m], lambda m, w: d_out.cols,
+                                         (1,), (0,), "d")
+    return dim
 
 
 def test_cohomology_dim_cases():
