@@ -73,6 +73,10 @@ def cmd_verify_hopf(args, outdir: Path) -> int:
 
 
 def cmd_verify_matched_pair(args, outdir: Path) -> int:
+    # an eta symbol of weight w needs jet order > w (FContext.eta_poly)
+    for flag, w in (("--weight", args.weight), ("--bicrossed-weight", args.bicrossed_weight)):
+        if w is not None and w > args.jet_cut - 1:
+            raise InvalidConfig(f"{flag} {w} needs --jet-cut > {w} (got {args.jet_cut})")
     mp = faa.check_matched_pair(args.n, args.jet_cut, args.weight)
     routes = faa.two_route_coproduct_check(args.n, args.jet_cut, args.weight or args.jet_cut - 1)
     moda = faa.moda_check(args.n, args.jet_cut, args.weight or args.jet_cut - 2)

@@ -8,6 +8,14 @@ simplicial/cyclic identities are literal operator equalities on each word:
     s_i = counit at slot i+1
     tau(h^1 (x) ... (x) h^m) = Delta^{m-1}(S~(h^1)) . (h^2 (x) ... (x) 1)
 
+tau is built one tensor slot at a time.  With T(x, a^1 ... a^k) =
+Delta^{k-1}(x) . (a^1 (x) ... (x) a^k), coassociativity gives
+
+    T(x, a) = x a,      T(x, a^1 a^2 ... a^k) = sum x_(1) a^1 (x) T(x_(2), a^2 ... a^k)
+
+and tau(h^1 (x) ... (x) h^m) = sum_s c_s T(s, h^2 ... h^m 1) over the terms c_s s
+of S~(h^1); T is memoised on (monomial, suffix) for the inner suffixes.
+
 b = alternating face sum, B = A . B_0 with B_0 = s_{m-1} tau (1 - (-1)^m tau)
 and A = 1 + lambda + ... + lambda^{m-1}, lambda = (-1)^{m-1} tau (the original
 sign convention; every sign-sensitive test references it).
@@ -22,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 
+from .errors import InvalidConfig
 from .hopf import algebra
 from .linalg import SparseMatrix, membership
 from .symbols import LinComb, madd, record_check
@@ -34,8 +43,7 @@ class StandardModule:
         self.pbw_cut = pbw_cut
         self._tau_cache: dict = {}
         self._face_cache: dict = {}
-        self._itercop_cache: dict = {}
-        self._stilde_cache: dict = {}
+        self._slot_cache: dict = {}
         self._basis = self.H.basis(weight_cut, pbw_cut)
 
     # -- blocks ------------------------------------------------------------
@@ -91,41 +99,38 @@ class StandardModule:
                 madd(acc, w[:i] + w[i + 1 :], cc)
         return LinComb.from_dict(acc)
 
-    def _s_tilde_mono(self, m):
-        if m not in self._stilde_cache:
-            self._stilde_cache[m] = self.H.s_tilde(LinComb.unit(m))
-        return self._stilde_cache[m]
-
-    def _iterated_cop(self, mono, m: int) -> LinComb:
-        """Delta^{m-1} of a basis monomial, keys are m-tuples."""
-        if m == 1:
-            return LinComb.unit((mono,))
-        key = (mono, m)
-        if key not in self._itercop_cache:
-            prev = self._iterated_cop(mono, m - 1)
-            self._itercop_cache[key] = self.H.apply_slot(prev, m - 2, self.H.coproduct_mono)
-        return self._itercop_cache[key]
+    def _slots(self, x, suffix: tuple) -> LinComb:
+        """T(x, suffix) = Delta^{k-1}(x) . suffix on a k-slot suffix, one slot
+        at a time (keys are k-tuples)."""
+        H = self.H
+        if len(suffix) == 1:
+            return LinComb.from_dict({(p,): c for p, c in H.mono_mul(x, suffix[0]).terms.items()})
+        a, rest = suffix[0], suffix[1:]
+        acc: dict = {}
+        for (x1, x2), c in H.coproduct_mono(x).terms.items():
+            key = (x2, rest)
+            tail = self._slot_cache.get(key)
+            if tail is None:
+                tail = self._slot_cache[key] = self._slots(x2, rest)
+            for p, cp in H.mono_mul(x1, a).terms.items():
+                cc = c * cp
+                for t, ct in tail.terms.items():
+                    madd(acc, (p,) + t, cc * ct)
+        return LinComb.from_dict(acc)
 
     def tau_word(self, w: tuple) -> LinComb:
         if not w:
             return LinComb.unit(w)
-        if w in self._tau_cache:
-            return self._tau_cache[w]
-        H = self.H
-        m = len(w)
-        rest = w[1:] + (H.one_mono(),)
-        acc: dict = {}
-        for sm, sc in self._s_tilde_mono(w[0]).terms.items():
-            for tup, c in self._iterated_cop(sm, m).terms.items():
-                term = LinComb.unit((), sc * c)
-                for a, b in zip(tup, rest):
-                    prod = H.mono_mul(a, b)
-                    term = H._t_extend(term, prod)
-                for k, v in term.terms.items():
-                    madd(acc, k, v)
-        out = LinComb.from_dict(acc)
-        self._tau_cache[w] = out
-        return out
+        cached = self._tau_cache.get(w)
+        if cached is None:
+            H = self.H
+            suffix = w[1:] + (H.one_mono(),)
+            acc: dict = {}
+            for s, cs in H.s_tilde(LinComb.unit(w[0])).terms.items():
+                for k, v in self._slots(s, suffix).terms.items():
+                    madd(acc, k, cs * v)
+            cached = self._tau_cache[w] = LinComb.from_dict(acc)
+        return cached
 
     def tau(self, elem: LinComb) -> LinComb:
         return elem.map_keys(self.tau_word)
@@ -152,13 +157,14 @@ class StandardModule:
         b0 = b0 - self.tau(b0).scale(sign)
         b0 = self.degeneracy(m - 1, b0)
         lam_sign = (-1) ** (m - 1)
-        out = LinComb.zero()
+        out: dict = {}
         acc = b0
         for j in range(m):
-            out = out + acc
+            for k, v in acc.terms.items():
+                madd(out, k, v)
             if j < m - 1:
                 acc = self.tau(acc).scale(lam_sign)
-        return out
+        return LinComb.from_dict(out)
 
     # -- matrices on a block ---------------------------------------------------
 
@@ -185,7 +191,7 @@ class StandardModule:
             tgt_m = m - 1
             fn = lambda e: self.B(e, m)
         else:
-            raise ValueError(op)
+            raise InvalidConfig(f"unknown operator {op!r}")
         tgt = self.words(tgt_m, weight)
         tidx = {w: i for i, w in enumerate(tgt)}
         cols, excluded = [], []

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from itertools import combinations
 
-from .errors import TruncationOverflow
+from .errors import InvariantViolation, TruncationOverflow
 from .symbols import LinComb, lc_sum, madd, record_check
 
 # generator tokens: ("X", k), ("Y", i, j), ("D", i, (j, k), trailing)
@@ -70,8 +70,8 @@ class HopfAlgebra:
         self._bianchi_cache: dict = {}
         self._cop_cache: dict = {}
         self._cop_mono_cache: dict = {}
-        self._stilde_cache: dict = {}
-        self._sinv_cache: dict = {}
+        self._s_tilde_cache: dict = {}
+        self._s_inv_cache: dict = {}
         self._y_straighten_cache: dict = {}
 
     # -- monomials ----------------------------------------------------------
@@ -96,7 +96,7 @@ class HopfAlgebra:
         if not ws:
             return None
         if len(ws) > 1:
-            raise ValueError(f"element not weight-homogeneous: {sorted(ws)}")
+            raise InvariantViolation(f"element not weight-homogeneous: {sorted(ws)}")
         return ws.pop()
 
     def x_gen(self, k) -> LinComb:
@@ -269,6 +269,21 @@ class HopfAlgebra:
             out.append(("Y",) + p)
         return out
 
+    def mono_split(self, m):
+        """(head, rest) for a normal monomial m != 1: head is the monomial of
+        the first generator of ``mono_factors(m)`` and rest the PBW suffix,
+        itself a normal monomial with head·rest = m exactly."""
+        deltas, x, y = m
+        n = self.n
+        if deltas:
+            return ((deltas[0],), (0,) * n, (0,) * (n * n)), (deltas[1:], x, y)
+        xy = list(x + y)
+        k = next(k for k, e in enumerate(xy) if e)
+        head = [0] * len(xy)
+        head[k] = 1
+        xy[k] -= 1
+        return (EMPTY, tuple(head[:n]), tuple(head[n:])), (EMPTY, tuple(xy[:n]), tuple(xy[n:]))
+
     def mono_mul(self, m1, m2) -> LinComb:
         key = (m1, m2)
         cached = self._mono_mul_cache.get(key)
@@ -419,15 +434,39 @@ class HopfAlgebra:
             return 0
         return (-1) ** sum(m[2])
 
-    def _anti_hom(self, elem: LinComb, gen_image) -> LinComb:
-        acc_out: dict = {}
+    def _anti_hom(self, elem: LinComb, memo: dict, gen_image) -> LinComb:
+        """Linear extension of the anti-homomorphism A with generator images
+        ``gen_image``, memoised per PBW monomial in ``memo``.
+
+        A(g·rest) = A(rest)·A(g), where g is the first generator of a PBW
+        monomial and rest its PBW suffix (``mono_split``); A(g) is itself the
+        memo entry of g's monomial.  A single monomial with coefficient 1
+        returns the memo entry itself, never a copy.
+        """
+        if len(elem.terms) == 1:
+            (m, c), = elem.terms.items()
+            if c == 1:
+                return self._anti_hom_mono(m, memo, gen_image)
+        acc: dict = {}
         for m, c in elem.terms.items():
-            acc = self.one()
-            for g in reversed(self.mono_factors(m)):
-                acc = self.product(acc, gen_image(g))
-            for k, v in acc.terms.items():
-                madd(acc_out, k, c * v)
-        return LinComb.from_dict(acc_out)
+            for k, v in self._anti_hom_mono(m, memo, gen_image).terms.items():
+                madd(acc, k, c * v)
+        return LinComb.from_dict(acc)
+
+    def _anti_hom_mono(self, m, memo: dict, gen_image) -> LinComb:
+        out = memo.get(m)
+        if out is None:
+            if m == self.one_mono():
+                out = self.one()
+            else:
+                head, rest = self.mono_split(m)
+                if rest == self.one_mono():
+                    out = gen_image(self.mono_factors(m)[0])
+                else:
+                    out = self.product(self._anti_hom_mono(rest, memo, gen_image),
+                                       self._anti_hom_mono(head, memo, gen_image))
+            memo[m] = out
+        return out
 
     def s_tilde_gen(self, g) -> LinComb:
         if g[0] == "Y":
@@ -443,23 +482,15 @@ class HopfAlgebra:
                 for j in range(1, self.n + 1):
                     out = out + self.product(self.delta_gen(i, (j, k)), self.y_gen(i, j))
             return out
-        key = g[1:]
-        cached = self._stilde_cache.get(key)
-        if cached is not None:
-            return cached
-        i, pair, trailing = key
+        i, pair, trailing = g[1:]
         if not trailing:
-            out = self.delta_gen(i, pair).scale(-1)
-        else:
-            ell = trailing[-1]
-            sb = self.s_tilde_gen(("D", i, pair, trailing[:-1]))
-            sx = self.s_tilde_gen(("X", ell))
-            out = self.product(sb, sx) - self.product(sx, sb)
-        self._stilde_cache[key] = out
-        return out
+            return self.delta_gen(i, pair).scale(-1)
+        sb = self.s_tilde(self.delta_gen(i, pair, trailing[:-1]))
+        sx = self.s_tilde(self.x_gen(trailing[-1]))
+        return self.product(sb, sx) - self.product(sx, sb)
 
     def s_tilde(self, elem: LinComb) -> LinComb:
-        return self._anti_hom(elem, self.s_tilde_gen)
+        return self._anti_hom(elem, self._s_tilde_cache, self.s_tilde_gen)
 
     def antipode_inv_gen(self, g) -> LinComb:
         if g[0] == "Y":
@@ -471,23 +502,15 @@ class HopfAlgebra:
                 for j in range(1, self.n + 1):
                     out = out + self.product(self.y_gen(i, j), self.delta_gen(i, (j, k)))
             return out
-        key = g[1:]
-        cached = self._sinv_cache.get(key)
-        if cached is not None:
-            return cached
-        i, pair, trailing = key
+        i, pair, trailing = g[1:]
         if not trailing:
-            out = self.delta_gen(i, pair).scale(-1)
-        else:
-            ell = trailing[-1]
-            sb = self.antipode_inv_gen(("D", i, pair, trailing[:-1]))
-            sx = self.antipode_inv_gen(("X", ell))
-            out = self.product(sb, sx) - self.product(sx, sb)
-        self._sinv_cache[key] = out
-        return out
+            return self.delta_gen(i, pair).scale(-1)
+        sb = self.antipode_inv(self.delta_gen(i, pair, trailing[:-1]))
+        sx = self.antipode_inv(self.x_gen(trailing[-1]))
+        return self.product(sb, sx) - self.product(sx, sb)
 
     def antipode_inv(self, elem: LinComb) -> LinComb:
-        return self._anti_hom(elem, self.antipode_inv_gen)
+        return self._anti_hom(elem, self._s_inv_cache, self.antipode_inv_gen)
 
     def antipode(self, elem: LinComb) -> LinComb:
         """S = (modular char inverse) * (twisted antipode), by convolution."""

@@ -28,6 +28,14 @@ REPORT_SHA256 = {
     "verify_relative_classes(2)": "c1d3543369b1c3b839c3aea8e73db19e045bbf8a42b9c1e51a11c19090d0cdf8",
     "sign_invariance_report(3)": "07c534e0bba186a1d422f4bced277050f8f88f8970c7567afc9b961fea526e69",
     "theta_span_report(2, 2, 2)": "95fecf135a6527216b83483b4fb4de2f9049e2bf07d43ddb0931c35f137ce4ab",
+    "verify_hopf_axioms(1, 4, 3)": "131c8ce8f04b91246ada5abde3777bf457a98e5c4b08b931c5721e405ed5a26e",
+    "verify_hopf_axioms(2, 2, 2)": "e769dfb63f852838ba5d599103d8a46d23ff5436a5dd92b696090b844df28d89",
+    "check_matched_pair(1, 5)": "4dde793c0a88a245b52b25b584346ff78a0e8686ecea525d90395f63abe49c5c",
+    "check_matched_pair(2, 3)": "a13a733785ebbd8158cca20ff1b6c290257a706ef1cf02101286e4cbb104122c",
+    "check_cocyclic_identities(standard_h1_module(4, 2), 3)":
+        "2ddd875377175a0745bd60b60ac521b1a99d44a0caf7b6c44adb05be81696aa3",
+    "check_mixed_complex(standard_h1_module(4, 2), 3)":
+        "4155f4bde510387d796ada892ce15bf28f0578082ce54e32b7f70ab168851a09",
 }
 
 
@@ -36,13 +44,15 @@ def _line(num: int, ok: bool, text: str):
     assert ok, text
 
 
-def test_criterion_1_hopf_axioms():
+def test_criterion_1_hopf_axioms(report_sha256):
     t0 = time.time()
     r1 = verify_hopf_axioms(1, 4, 3)
     r2 = verify_hopf_axioms(2, 2, 2)
     elapsed = time.time() - t0
     ok = r1["passed"] and r2["passed"] and elapsed < 60
     _line(1, ok, f"Hopf axioms n=1 (W=4,D=3) and n=2 (W=2,D=2) in {elapsed:.1f}s")
+    assert report_sha256(r1) == REPORT_SHA256["verify_hopf_axioms(1, 4, 3)"]
+    assert report_sha256(r2) == REPORT_SHA256["verify_hopf_axioms(2, 2, 2)"]
 
 
 def test_criterion_2_bianchi_and_confluence():
@@ -54,7 +64,7 @@ def test_criterion_2_bianchi_and_confluence():
     _line(2, ok, f"Bianchi n=2 ({b['instances']} instances) + confluence (1000 words) in {elapsed:.1f}s")
 
 
-def test_criterion_3_matched_pair_and_bicrossed():
+def test_criterion_3_matched_pair_and_bicrossed(report_sha256):
     t0 = time.time()
     mp1 = check_matched_pair(1, 5)
     mp2 = check_matched_pair(2, 3)
@@ -63,6 +73,8 @@ def test_criterion_3_matched_pair_and_bicrossed():
     elapsed = time.time() - t0
     ok = all(r["passed"] for r in (mp1, mp2, bi1, bi2)) and elapsed < 120
     _line(3, ok, f"matched pair mp1-mp5 (n=1 J=5, n=2 J=3) + bicrossed weight<=3 in {elapsed:.1f}s")
+    assert report_sha256(mp1) == REPORT_SHA256["check_matched_pair(1, 5)"]
+    assert report_sha256(mp2) == REPORT_SHA256["check_matched_pair(2, 3)"]
 
 
 def test_criterion_4_two_route_coproduct():
@@ -72,13 +84,15 @@ def test_criterion_4_two_route_coproduct():
     _line(4, ok, f"Faa-di-Bruno vs commutator coproduct, {r1['checked']}+{r2['checked']} generators, exact")
 
 
-def test_criterion_5_cocyclic_identities():
+def test_criterion_5_cocyclic_identities(report_sha256):
     mod = standard_h1_module(4, 2)
     ids = check_cocyclic_identities(mod, 3)
     mixed = check_mixed_complex(mod, 3)
     ok = ids["passed"] and mixed["passed"]
     counts = {k: v["checked"] for k, v in ids["identities"].items()}
     _line(5, ok, f"cocyclic identities deg<=3 W<=4 incl. tau^(n+1)=1 and b/B relations ({counts})")
+    assert report_sha256(ids) == REPORT_SHA256["check_cocyclic_identities(standard_h1_module(4, 2), 3)"]
+    assert report_sha256(mixed) == REPORT_SHA256["check_mixed_complex(standard_h1_module(4, 2), 3)"]
 
 
 def test_criterion_6_h1_cyclic_cohomology(report_sha256):

@@ -49,6 +49,19 @@ def test_invalid_config_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_matched_pair_weight_beyond_jet_cut_is_invalid_config(tmp_path, capsys):
+    # the default bicrossed weight 3 needs a jet cut of at least 4
+    rc = main(["--output", str(tmp_path), "verify-matched-pair", "--n", "2", "--jet-cut", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["invalid configuration: --bicrossed-weight 3 needs --jet-cut > 3 (got 3)"]
+    rc = main(["--output", str(tmp_path), "verify-matched-pair", "--jet-cut", "3",
+               "--weight", "3", "--bicrossed-weight", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("invalid configuration: --weight 3")
+    assert not list(tmp_path.iterdir())
+
+
 def test_cyclic_small_and_determinism(tmp_path, capsys):
     rc = main(["--output", str(tmp_path / "a"), "cyclic", "--n", "1",
                "--degree-max", "1", "--weight-max", "2"])

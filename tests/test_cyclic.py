@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from hopfcyclic.cyclic import (
     StandardModule,
     check_cocyclic_identities,
@@ -7,6 +9,7 @@ from hopfcyclic.cyclic import (
     gv_cocycle_report,
     standard_h1_module,
 )
+from hopfcyclic.errors import InvalidConfig
 from hopfcyclic.symbols import LinComb
 
 
@@ -99,3 +102,36 @@ def test_b_and_B_preserve_weight():
             for out in (mod.b(e, m), mod.B(e, m), mod.tau(e)):
                 for ww in out.terms:
                     assert mod.word_weight(ww) == wt
+
+
+def _tau_full_expansion(mod, w):
+    """tau(w) as Delta^{m-1}(S~(h^1)) expanded into full m-tuples, then
+    multiplied slot by slot against (h^2, ..., h^m, 1)."""
+    H = mod.H
+    rest = w[1:] + (H.one_mono(),)
+    out = LinComb.zero()
+    for s, cs in H.s_tilde(LinComb.unit(w[0])).terms.items():
+        cop = LinComb.unit((s,))
+        for slot in range(len(w) - 1):
+            cop = H.apply_slot(cop, slot, H.coproduct_mono)
+        for tup, c in cop.terms.items():
+            term = LinComb.unit((), cs * c)
+            for a, b in zip(tup, rest):
+                term = H._t_extend(term, H.mono_mul(a, b))
+            out = out + term
+    return out
+
+
+def test_tau_slot_recursion_matches_full_expansion():
+    words = [w for m in (1, 2, 3) for w in MOD.words(m)]
+    moved = 0
+    for w in words:
+        got = MOD.tau_word(w)
+        assert got == _tau_full_expansion(MOD, w), w
+        moved += got != LinComb.unit(w)
+    assert (len(words), moved) == (1105, 1100)
+
+
+def test_operator_matrix_unknown_operator_is_invalid_config():
+    with pytest.raises(InvalidConfig):
+        MOD.operator_matrix("lambda", 1, 1)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcyclic.errors import TruncationOverflow
+from hopfcyclic.errors import InvariantViolation, TruncationOverflow
 from hopfcyclic.hopf import HopfAlgebra, algebra, bianchi_check, confluence_smoke_test, verify_hopf_axioms
 from hopfcyclic.symbols import LinComb
 
@@ -164,3 +164,86 @@ def test_bianchi_check_n2():
 def test_confluence_smoke_small():
     report = confluence_smoke_test(n_max=2, words=60, max_len=4, seed=1)
     assert report["passed"], report
+
+
+# -- the antipodes' per-monomial memo against the plain word product ----------
+
+ANTIPODE_CUTS = ((1, 4, 3), (2, 2, 2), (3, 2, 2))  # (n, weight cut, PBW cut)
+
+
+def _s_tilde_gen_oracle(H, g):
+    """S~ on a generator token, with the commutator recursion on deltas."""
+    if g[0] == "Y":
+        _, i, j = g
+        return H.y_gen(i, j).scale(-1) + (H.one() if i == j else LinComb.zero())
+    if g[0] == "X":
+        k = g[1]
+        out = H.x_gen(k).scale(-1)
+        for i in range(1, H.n + 1):
+            for j in range(1, H.n + 1):
+                out = out + H.product(H.delta_gen(i, (j, k)), H.y_gen(i, j))
+        return out
+    i, pair, trailing = g[1:]
+    if not trailing:
+        return H.delta_gen(i, pair).scale(-1)
+    sb = _s_tilde_gen_oracle(H, ("D", i, pair, trailing[:-1]))
+    sx = _s_tilde_gen_oracle(H, ("X", trailing[-1]))
+    return H.product(sb, sx) - H.product(sx, sb)
+
+
+def _s_inv_gen_oracle(H, g):
+    """S^-1 on a generator token, with the commutator recursion on deltas."""
+    if g[0] == "Y":
+        return H.y_gen(g[1], g[2]).scale(-1)
+    if g[0] == "X":
+        k = g[1]
+        out = H.x_gen(k).scale(-1)
+        for i in range(1, H.n + 1):
+            for j in range(1, H.n + 1):
+                out = out + H.product(H.y_gen(i, j), H.delta_gen(i, (j, k)))
+        return out
+    i, pair, trailing = g[1:]
+    if not trailing:
+        return H.delta_gen(i, pair).scale(-1)
+    sb = _s_inv_gen_oracle(H, ("D", i, pair, trailing[:-1]))
+    sx = _s_inv_gen_oracle(H, ("X", trailing[-1]))
+    return H.product(sb, sx) - H.product(sx, sb)
+
+
+def _anti_hom_oracle(H, m, gen_image):
+    """A(g_1 ... g_r) = A(g_r) ... A(g_1) over the whole PBW word, no memo."""
+    acc = H.one()
+    for g in reversed(H.mono_factors(m)):
+        acc = H.product(acc, gen_image(H, g))
+    return acc
+
+
+@pytest.mark.parametrize("n,w,d", ANTIPODE_CUTS)
+def test_antipode_memos_match_word_product(n, w, d):
+    H = algebra(n)
+    for m in H.basis(w, d):
+        assert H.s_tilde(LinComb.unit(m)) == _anti_hom_oracle(H, m, _s_tilde_gen_oracle), m
+        assert H.antipode_inv(LinComb.unit(m)) == _anti_hom_oracle(H, m, _s_inv_gen_oracle), m
+    # a general element goes through the same memo, scaled and summed
+    elem = LinComb({m: c for c, m in enumerate(H.basis(w, d)[:5], start=-2)})
+    want = LinComb.zero()
+    for m, c in elem.terms.items():
+        want = want + _anti_hom_oracle(H, m, _s_tilde_gen_oracle).scale(c)
+    assert H.s_tilde(elem) == want
+
+
+@pytest.mark.parametrize("n,w,d", ANTIPODE_CUTS)
+def test_mono_split_is_first_generator_times_pbw_suffix(n, w, d):
+    H = algebra(n)
+    for m in H.basis(w, d):
+        if m == H.one_mono():
+            continue
+        head, rest = H.mono_split(m)
+        g, = H.mono_factors(head)
+        assert H.mono_factors(m) == [g] + H.mono_factors(rest)
+        assert H.normal_form([g] + H.mono_factors(rest)) == LinComb.unit(m)
+
+
+def test_weight_of_inhomogeneous_element_is_an_invariant_violation():
+    with pytest.raises(InvariantViolation):
+        H1.weight(X(H1) + Y(H1))
